@@ -44,7 +44,6 @@ class DistanceReport:
     indel_potential_sum: int
     tau_star: int
     anchor: str | None
-    rotated: bool = False
     solo_leaf: list[int] | None = None
     cover: list[dict] = field(default_factory=list)
     reduction_steps: list[dict] = field(default_factory=list)
@@ -59,7 +58,6 @@ class DistanceReport:
             "indel_potential_sum": self.indel_potential_sum,
             "tau_star": self.tau_star,
             "anchor": self.anchor,
-            "rotated": self.rotated,
             "solo_leaf": self.solo_leaf,
             "cover": self.cover,
             "reduction_steps": self.reduction_steps,
@@ -108,9 +106,15 @@ def _trivial_report(a: Chromosome, b: Chromosome) -> DistanceReport:
 
 
 def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceReport:
+    """Distance between the two circular chromosomes of a classified pair."""
+    if pair.a.shape == LINEAR or pair.b.shape == LINEAR:
+        raise InvindelError(
+            "compute_distance takes circular chromosomes; "
+            "use distance_report for linear ones"
+        )
     if len(pair.common) <= 1:
         return _trivial_report(pair.a, pair.b)
-    diagram, comps, chained, tagged, rotated = tagged_tree_for_pair(pair, anchor)
+    diagram, _, _, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
     distance = diagram.g_count - diagram.c + lam + tau
@@ -147,7 +151,6 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
         indel_potential_sum=lam,
         tau_star=tau,
         anchor=diagram.anchor,
-        rotated=rotated,
         solo_leaf=solo,
         cover=cover_dicts,
         reduction_steps=steps,
@@ -187,7 +190,7 @@ def _emit_traces(args, pair: GenomePair) -> None:
         wanted = {"diagram", "tree", "topology", "reduction", "cover"}
     if not wanted:
         return
-    diagram, comps, chained, tagged, _ = tagged_tree_for_pair(pair, args.anchor)
+    diagram, _, chained, tagged = tagged_tree_for_pair(pair, args.anchor)
     if "diagram" in wanted:
         print("== diagram ==")
         print(diag_mod.format_cycle_table(diagram))
@@ -238,9 +241,12 @@ def _cmd_dist(args) -> int:
         a = Chromosome(a.markers, LINEAR)
         b = Chromosome(b.markers, LINEAR)
     rep = distance_report(a, b, args.anchor)
-    if args.trace and a.shape == CIRCULAR:
-        common = a.names() & b.names()
-        if len(common) > 1:
+    if args.trace:
+        if a.shape != CIRCULAR:
+            print("trace: skipped (linear input)", file=sys.stderr)
+        elif len(a.names() & b.names()) <= 1:
+            print("trace: skipped (at most one common marker)", file=sys.stderr)
+        else:
             _emit_traces(args, classify_markers(a, b))
     if args.oracle:
         common = a.names() & b.names()
@@ -270,7 +276,7 @@ def _cmd_dist(args) -> int:
             f"indel potential: {rep.indel_potential_sum}  extra cover: {rep.tau_star}"
         )
         if rep.anchor is not None:
-            print(f"anchor: {rep.anchor}{' (rotated)' if rep.rotated else ''}")
+            print(f"anchor: {rep.anchor}")
         if rep.capping:
             print(f"capping: {rep.capping}")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagram import Cycle, RelationalDiagram, build_relational_diagram, run_count
-from .errors import AnchorNotCommon, InvindelError
+from .errors import InvindelError
 from .genome import GenomePair
 
 TAG_A = "A"
@@ -534,61 +534,20 @@ def flower_contract(tree: ChainedTree) -> TaggedTree:
     return contracted
 
 
-def _boundary_owners_ok(comps: list[Component], diagram: RelationalDiagram) -> bool:
-    owner = [-1] * diagram.g_count
-    for comp in comps:
-        for cyc_id in comp.cycles:
-            for p in diagram.cycles[cyc_id].a_positions:
-                owner[p] = comp.id
-    return owner[0] != owner[-1]
-
-
-def diagram_with_components(
-    pair: GenomePair, anchor: str | None = None, max_rotations: int = 12
-) -> tuple[RelationalDiagram, list[Component], bool]:
-    """Build a diagram whose first and last upper edges belong to distinct
-    components, rotating the anchor when necessary.
-
-    The cycle structure does not depend on the cut, so candidate cuts are
-    screened by re-running the interleaving sweep on shifted edge positions
-    before rebuilding anything.  When every screened cut keeps both
-    boundary edges in one component (a single component wrapping the whole
-    circle), the preferred anchor is kept: that component then simply forms
-    the root chain by itself.
-    """
-    if anchor is not None and anchor not in pair.common:
-        raise AnchorNotCommon(anchor)
-    diagram = build_relational_diagram(pair, anchor or min(sorted(pair.common)))
-    comps = find_components(diagram)
-    if len(comps) < 2 or _boundary_owners_ok(comps, diagram):
-        return diagram, comps, False
-
-    n = diagram.g_count
-    owner = diagram.cycle_of_a_edge()
-    # a cut inside one cycle can never split that cycle's component, so only
-    # cuts at cycle-ownership boundaries are worth sweeping
-    candidates = [s for s in range(1, n) if owner[s - 1] != owner[s]]
-    for shift in candidates[:max_rotations]:
-        owner_s = owner[shift:] + owner[:shift]
-        positions = [
-            tuple(sorted((p - shift) % n for p in c.a_positions)) for c in diagram.cycles
-        ]
-        uf = _sweep_interleaving(owner_s, positions)
-        if uf.find(owner_s[0]) != uf.find(owner_s[-1]):
-            new_anchor = diagram.upper[shift].left.marker
-            rotated = build_relational_diagram(pair, new_anchor)
-            return rotated, find_components(rotated), True
-    return diagram, comps, False
-
-
 def tagged_tree_for_pair(pair: GenomePair, anchor: str | None = None):
     """Front half of the pipeline: diagram, components, chained tree,
-    costless-merge marking, contraction."""
-    diagram, comps, rotated = diagram_with_components(pair, anchor)
-    chained = build_chained_tree(comps, diagram)
-    chained = mark_costless_merges(chained)
+    costless-merge marking, contraction.
+
+    The circles are cut at ``anchor`` when given, else at the smallest
+    common marker; no term of the distance depends on the cut.
+    """
+    diagram = build_relational_diagram(
+        pair, anchor if anchor is not None else min(pair.common)
+    )
+    comps = find_components(diagram)
+    chained = mark_costless_merges(build_chained_tree(comps, diagram))
     tagged = flower_contract(chained)
-    return diagram, comps, chained, tagged, rotated
+    return diagram, comps, chained, tagged
 
 
 def format_chained_tree(tree: ChainedTree) -> str:

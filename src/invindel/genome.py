@@ -54,22 +54,9 @@ class Chromosome:
     def text(self) -> str:
         return " ".join(self.tokens())
 
-    def rotated(self, i: int) -> "Chromosome":
-        return Chromosome(self.markers[i:] + self.markers[:i], self.shape)
-
     def reversed_flipped(self) -> "Chromosome":
         """The same chromosome read in the opposite direction."""
         return Chromosome(tuple(m.flipped() for m in reversed(self.markers)), self.shape)
-
-    def canonical_form(self) -> tuple[str, ...]:
-        """Least token sequence over both reading directions (and all
-        rotations for circular chromosomes); used for state deduplication."""
-        rev = self.reversed_flipped()
-        if self.shape == LINEAR:
-            return min(self.tokens(), rev.tokens())
-        forms = [self.rotated(i).tokens() for i in range(len(self))]
-        forms += [rev.rotated(i).tokens() for i in range(len(self))]
-        return min(forms)
 
 
 def parse_chromosome(text: str, shape: str = CIRCULAR) -> Chromosome:
@@ -171,6 +158,8 @@ def read_pair_text(text: str) -> tuple[Chromosome, Chromosome]:
         shape = header
     if len(lines) < 2:
         raise EmptyInput("expected two chromosome lines")
+    if len(lines) > 2:
+        raise MalformedToken(f"expected two chromosome lines, got {len(lines)}")
     return parse_chromosome(lines[0], shape), parse_chromosome(lines[1], shape)
 
 

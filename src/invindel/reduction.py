@@ -61,12 +61,6 @@ class ResidualResult:
 # Elementary reductions
 
 
-def apply_p_reduction(tree: TaggedTree, u: int, v: int) -> TaggedTree:
-    """Turn every bad node on the path good, then re-contract."""
-    reduced, _ = reduce_by_paths(tree, [(u, v)])
-    return reduced
-
-
 def _balanced_pair_plan(
     tree: TaggedTree,
     leaves: list[int],
@@ -95,22 +89,6 @@ def _balanced_pair_plan(
     if (odd or not can_reduce_to_2) and pairs:
         pairs.pop(0)
     return pairs
-
-
-def balanced_simultaneous_reduction(
-    tree: TaggedTree,
-    leaf_class: str,
-    can_reduce_to_2: bool,
-    solo: int | None = None,
-) -> tuple[TaggedTree, list[int]]:
-    """Shrink one leaf class by balanced in-traversals (preserving form)."""
-    leaves = [u for u in tree.leaves() if tree.leaf_class(u) == leaf_class]
-    if len(leaves) < 4 and not (len(leaves) % 2 == 0 and can_reduce_to_2):
-        raise PreconditionViolated(f"class {leaf_class} holds {len(leaves)} leaves")
-    pairs = _balanced_pair_plan(tree, leaves, can_reduce_to_2, solo)
-    reduced, _ = reduce_by_paths(tree, pairs)
-    remaining = [u for u in reduced.leaves() if u in set(leaves)]
-    return reduced, remaining
 
 
 def _branch_within(tree: TaggedTree, nodes: frozenset[int], u: int) -> list[int]:
@@ -171,14 +149,6 @@ def essential_leaf(tree: TaggedTree, leaves: list[int]) -> int:
             if supersets[L[i]] & supersets[L[j]]:
                 return min(L[i], L[j])
     return L[0]
-
-
-def reduce_from_3_to_1(tree: TaggedTree, leaves: list[int]) -> tuple[TaggedTree, int]:
-    """Keep the essential leaf; spend the in-traversal between the others."""
-    kept = essential_leaf(tree, leaves)
-    others = [u for u in sorted(leaves) if u != kept]
-    reduced, _ = reduce_by_paths(tree, [(others[0], others[1])])
-    return reduced, kept
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +292,6 @@ def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
         r.swap_ab()
     _reduce_ab_class(r)
     return _clean_phase(r, depth)
-
-
-def solo_leaf_search_and_clean_reduction(tree: TaggedTree) -> ResidualResult:
-    """Clean-class reduction plus exhaustive solo-leaf search on a tree whose
-    tagged classes are already reduced."""
-    return _clean_phase(_Reducer(tree), 8)
 
 
 def compute_residual(tree: TaggedTree) -> ResidualResult:

@@ -1167,6 +1167,4 @@ def optimal_cover_of_residual(
         raise NoCaseMatched(str(comp))
     if primary is not None and primary[0] <= best[0]:
         return primary
-    if primary is not None:
-        return best[0], best[1], best[2] + ["*"]
     return best[0], best[1], best[2] + ["*"]

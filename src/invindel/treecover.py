@@ -452,12 +452,6 @@ class Topology:
     def exists_pruned(self, predicate) -> bool:
         return any(predicate(topo) for _, topo in self.pruned_topologies())
 
-    def pruned_witness(self, predicate) -> int | None:
-        for s, topo in self.pruned_topologies():
-            if predicate(topo):
-                return s
-        return None
-
 
 @dataclass
 class TopologyReport:

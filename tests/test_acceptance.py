@@ -13,8 +13,8 @@ import time
 import trees as fig
 
 from invindel.cli import compute_distance, tau_star
-from invindel.components import TaggedTree, contract
-from invindel.diagram import indel_potential
+from invindel.components import TaggedTree, contract, find_components
+from invindel.diagram import build_relational_diagram, indel_potential
 from invindel.genome import Chromosome, GenomePair, Marker
 from invindel.oracle import (
     OracleBudget,
@@ -208,19 +208,37 @@ def test_criterion_5_closed_forms():
     )
 
 
+def _boundary_component_wraps(pair: GenomePair, anchor: str) -> bool:
+    """Whether the cut at ``anchor`` puts the first and the last upper edge
+    in one component while the diagram holds two or more components."""
+    diagram = build_relational_diagram(pair, anchor)
+    comps = find_components(diagram)
+    comp_of_cycle = {c: comp.id for comp in comps for c in comp.cycles}
+    owner = diagram.cycle_of_a_edge()
+    return len(comps) >= 2 and comp_of_cycle[owner[0]] == comp_of_cycle[owner[-1]]
+
+
 def test_criterion_6_anchor_invariance():
     rng = random.Random(66)
-    varying = 0
+    varying = runs = wrapping = 0
     for _ in range(500):
         pair = random_genome_pair(
             rng, rng.randint(2, 6), rng.randint(0, 2), rng.randint(0, 2)
         )
-        values = {
-            compute_distance(pair, anchor=g).distance for g in sorted(pair.common)
-        }
+        values = set()
+        for g in sorted(pair.common):
+            values.add(compute_distance(pair, anchor=g).distance)
+            runs += 1
+            wrapping += _boundary_component_wraps(pair, g)
         if len(values) != 1:
             varying += 1
-    _report("6 anchor invariance", varying == 0, f"(500 pairs, {varying} varying)")
+    # cuts whose boundary edges share a component must stay exercised
+    _report(
+        "6 anchor invariance",
+        varying == 0 and wrapping > 0,
+        f"(500 pairs, {varying} varying; {wrapping} of {runs} runs cut inside "
+        "the boundary component)",
+    )
 
 
 def test_criterion_7_scaling():

@@ -5,7 +5,8 @@ import pytest
 from conftest import bt
 
 from invindel.cli import build_parser, compute_distance, distance_report, main, tau_star
-from invindel.genome import classify_markers, parse_chromosome
+from invindel.errors import InvindelError
+from invindel.genome import LINEAR, classify_markers, parse_chromosome
 
 FIG_A = "a t j b d f e g -c h i u k v o n l m"
 FIG_B = "a w b c d e f g h x i j y k l z m n o"
@@ -96,6 +97,7 @@ def test_cli_anchor_override(genome_file, capsys):
     assert main(["dist", genome_file, "--anchor", "g", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["anchor"] == "g"
+    assert "rotated" not in data
     assert data["distance"] == 15
 
 
@@ -132,6 +134,30 @@ def test_cli_linear(tmp_path, capsys):
     budget = OracleBudget(max_common=4)
     exact = min(brute_force_distance(cp, budget) for cp in cap_linear_pair(pair))
     assert data["distance"] == exact == 3
+
+
+def test_compute_distance_rejects_linear():
+    # read as circles the two chromosomes are equal, read as lines they are
+    # two operations apart; only distance_report caps linear input
+    a, b = parse_chromosome("a b c", LINEAR), parse_chromosome("b c a", LINEAR)
+    assert distance_report(a, b).distance == 2
+    with pytest.raises(InvindelError, match="distance_report"):
+        compute_distance(classify_markers(a, b))
+    circular = classify_markers(parse_chromosome("a b c"), parse_chromosome("b c a"))
+    assert compute_distance(circular).distance == 0
+
+
+def test_cli_trace_skip_reasons(tmp_path, capsys):
+    path = tmp_path / "lin.txt"
+    path.write_text(">linear\na b c\nc b a\n")
+    assert main(["dist", str(path), "--trace", "all"]) == 0
+    captured = capsys.readouterr()
+    assert "trace: skipped (linear input)" in captured.err
+    assert "distance: 3" in captured.out
+
+    path.write_text("a x\na y\n")
+    assert main(["dist", str(path), "--trace", "all"]) == 0
+    assert "trace: skipped (at most one common marker)" in capsys.readouterr().err
 
 
 def test_cli_error_exit(tmp_path, capsys):

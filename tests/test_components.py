@@ -7,10 +7,7 @@ from invindel.components import (
     build_chained_tree,
     contract,
     cycles_interleave,
-    diagram_with_components,
     find_components,
-    flower_contract,
-    mark_costless_merges,
     reduce_by_paths,
     tagged_tree_for_pair,
 )
@@ -122,7 +119,7 @@ def test_figure_chained_tree_shape():
 
 
 def test_figure_contraction():
-    _, _, _, tagged, _ = tagged_tree_for_pair(figure_pair())
+    _, _, _, tagged = tagged_tree_for_pair(figure_pair())
     tagged.validate()
     expected = bt(
         {0: "b", 1: "gB", 2: "bAB", 3: "bAB"},
@@ -194,10 +191,7 @@ def test_chained_cover_cost_equals_contracted_cover_cost():
     checked = 0
     while checked < 40:
         pair = random_genome_pair(rng, rng.randint(2, 6), rng.randint(0, 2), rng.randint(0, 2))
-        diagram, comps, rotated = diagram_with_components(pair)
-        chained = build_chained_tree(comps, diagram)
-        chained = mark_costless_merges(chained)
-        tagged = flower_contract(chained)
+        _, _, chained, tagged = tagged_tree_for_pair(pair)
         if tagged.is_empty or len(tagged) > 12:
             continue
         specs = {}
@@ -223,10 +217,7 @@ def test_flower_contraction_preserves_separation():
     rng = random.Random(23)
     for _ in range(150):
         pair = random_genome_pair(rng, rng.randint(3, 7), rng.randint(0, 2), rng.randint(0, 2))
-        diagram, comps, _ = diagram_with_components(pair)
-        chained = build_chained_tree(comps, diagram)
-        chained = mark_costless_merges(chained)
-        tagged = flower_contract(chained)
+        _, _, _, tagged = tagged_tree_for_pair(pair)
         bads = tagged.bad_nodes()
         if len(bads) < 3:
             continue

@@ -4,27 +4,38 @@ from conftest import bt
 
 import trees as fig
 
+from invindel.components import reduce_by_paths
 from invindel.errors import DegenerateTree, PreconditionViolated
 from invindel.oracle import OracleBudget, brute_force_tau, random_tagged_tree
-from invindel.reduction import (
-    apply_p_reduction,
-    balanced_simultaneous_reduction,
-    compute_residual,
-    essential_leaf,
-    reduce_from_3_to_1,
-    solo_leaf_search_and_clean_reduction,
-)
+from invindel.reduction import _balanced_pair_plan, compute_residual, essential_leaf
 from invindel.treecover import analyze_topology
+
+
+def balanced_reduce(tree, leaf_class, can_reduce_to_2, solo=None):
+    """Spend the planned balanced in-traversals on one leaf class; returns
+    the reduced tree and the class leaves that survive."""
+    leaves = [u for u in tree.leaves() if tree.leaf_class(u) == leaf_class]
+    reduced, _ = reduce_by_paths(
+        tree, _balanced_pair_plan(tree, leaves, can_reduce_to_2, solo)
+    )
+    return reduced, [u for u in reduced.leaves() if u in leaves]
+
+
+def three_to_one(tree, leaves):
+    """Keep the essential leaf; spend the in-traversal between the others."""
+    kept = essential_leaf(tree, leaves)
+    others = [u for u in sorted(leaves) if u != kept]
+    return reduce_by_paths(tree, [(others[0], others[1])])[0]
 
 
 def test_p_reduction_single_bad_node():
     lone = bt({0: "bA"}, [])
-    assert apply_p_reduction(lone, 0, 0).is_empty
+    assert reduce_by_paths(lone, [(0, 0)])[0].is_empty
 
 
 def test_p_reduction_keeps_other_structure():
     tree = fig.REDUCTION1_II
-    reduced = apply_p_reduction(tree, 3, 5)  # the two inner B-leaves
+    reduced = reduce_by_paths(tree, [(3, 5)])[0]  # the two inner B-leaves
     reduced.validate()
     # three leaves remain: two A-leaves and the short-branch B-leaf
     assert reduced.composition() == (2, 1, 0, 0)
@@ -35,15 +46,15 @@ def test_reduction1_safety():
     # spending the clean in-traversal keeps the solo leaf and the total
     # splits additively; spending it on the solo leaf would not
     tree = fig.REDUCTION1_I
-    safe = apply_p_reduction(tree, 3, 5)
+    safe = reduce_by_paths(tree, [(3, 5)])[0]
     assert brute_force_tau(tree) == 2 + brute_force_tau(safe)
-    unsafe = apply_p_reduction(tree, 8, 5)
+    unsafe = reduce_by_paths(tree, [(8, 5)])[0]
     assert brute_force_tau(tree) < 2 + brute_force_tau(unsafe)
 
     tree = fig.REDUCTION1_II
-    first = apply_p_reduction(tree, 3, 5)
+    first = reduce_by_paths(tree, [(3, 5)])[0]
     assert brute_force_tau(tree) == 1 + brute_force_tau(first)
-    second = apply_p_reduction(tree, 5, 8)
+    second = reduce_by_paths(tree, [(5, 8)])[0]
     assert brute_force_tau(tree) == 1 + brute_force_tau(second)
 
 
@@ -52,11 +63,15 @@ def test_balanced_reduction_counts():
         {0: "g", 1: "bA", 2: "bA", 3: "bA", 4: "bA", 5: "b", 6: "bB"},
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)],
     )
-    reduced, remaining = balanced_simultaneous_reduction(tree, "A", True)
+    reduced, remaining = balanced_reduce(tree, "A", True)
     assert len(remaining) == 2
     assert reduced.composition()[0] == 2
-    with pytest.raises(PreconditionViolated):
-        balanced_simultaneous_reduction(tree, "B", False)
+    # the pipeline shrinks the four A-leaves the same way and leaves the
+    # lone B-leaf alone: a class below four leaves is never balanced
+    res = compute_residual(tree)
+    balanced = [s for s in res.steps if s.kind == "balanced_in_traversal"]
+    assert [s.leaf_class for s in balanced] == ["A"]
+    assert 6 in res.residual.leaves()
 
 
 def test_balanced_reduction_preserving():
@@ -73,7 +88,7 @@ def test_balanced_reduction_preserving():
         ],
     )
     before = analyze_topology(tree)
-    reduced, remaining = balanced_simultaneous_reduction(tree, "A", True)
+    reduced, remaining = balanced_reduce(tree, "A", True)
     after = analyze_topology(reduced)
     assert len(remaining) == 2
     assert after.composition == (2, 2, 1, 0)
@@ -90,7 +105,7 @@ def test_balanced_reduction_respects_solo():
         },
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 7)],
     )
-    reduced, remaining = balanced_simultaneous_reduction(tree, "C", True, solo=2)
+    reduced, remaining = balanced_reduce(tree, "C", True, solo=2)
     assert 2 in remaining and len(remaining) == 2
 
 
@@ -103,14 +118,13 @@ def test_essential_leaf_destroy_solo():
     leaves = [5, 9, 13]
     kept = essential_leaf(tree, leaves)
     assert kept in (5, 9)
-    reduced, kept2 = reduce_from_3_to_1(tree, leaves)
-    others = sorted(set(leaves) - {kept2})
+    reduced = three_to_one(tree, leaves)
     assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
 
     tree = fig.DESTROY_SOLO_II
     kept = essential_leaf(tree, leaves)
     assert kept in (5, 9)
-    reduced, _ = reduce_from_3_to_1(tree, leaves)
+    reduced = three_to_one(tree, leaves)
     assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
 
 
@@ -120,7 +134,7 @@ def test_essential_leaf_intersecting_fragments():
     leaves = [2, 10, 13]
     kept = essential_leaf(tree, leaves)
     assert kept in (10, 13)
-    reduced, _ = reduce_from_3_to_1(tree, leaves)
+    reduced = three_to_one(tree, leaves)
     assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
 
 
@@ -129,8 +143,7 @@ def test_essential_leaf_isolated_star():
         {0: "b", 1: "bA", 2: "bA", 3: "bA", 4: "b", 5: "bB"},
         [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)],
     )
-    kept = essential_leaf(star, [1, 2, 3])
-    reduced, _ = reduce_from_3_to_1(star, [1, 2, 3])
+    reduced = three_to_one(star, [1, 2, 3])
     assert brute_force_tau(star) == 1 + brute_force_tau(reduced)
 
 
@@ -181,7 +194,10 @@ def test_solo_clean_reduction_standalone():
         },
         [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7), (0, 8), (0, 9), (9, 10)],
     )
-    res = solo_leaf_search_and_clean_reduction(tree)
+    # the tagged classes hold one leaf each, so only the clean phase with
+    # its solo-leaf search reduces anything
+    res = compute_residual(tree)
+    assert {s.leaf_class for s in res.steps} == {"C"}
     assert res.total_cost == brute_force_tau(tree)
     res.full_cover().validate(tree)
 
