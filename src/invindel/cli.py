@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from . import components as comp_mod
 from . import diagram as diag_mod
-from .components import TaggedTree, tagged_tree_for_pair
+from .components import ChainedTree, TaggedTree, tagged_tree_for_pair
+from .diagram import RelationalDiagram
 from .errors import BudgetExceeded, InvindelError
 from .genome import (
     CIRCULAR,
@@ -37,6 +38,17 @@ from .treecover import Cover, analyze_topology, tau_all_clean, tau_shared_tag
 
 
 @dataclass
+class PipelineRun:
+    """What one circular run built on its way to the distance, for traces."""
+
+    diagram: RelationalDiagram
+    chained: ChainedTree
+    tagged: TaggedTree
+    cover: Cover
+    residual: ResidualResult | None
+
+
+@dataclass
 class DistanceReport:
     distance: int
     g_count: int
@@ -49,6 +61,7 @@ class DistanceReport:
     reduction_steps: list[dict] = field(default_factory=list)
     case_trace: list[str] = field(default_factory=list)
     capping: str | None = None
+    run: PipelineRun | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +127,7 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
         )
     if len(pair.common) <= 1:
         return _trivial_report(pair.a, pair.b)
-    diagram, _, _, tagged = tagged_tree_for_pair(pair, anchor)
+    diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
     distance = diagram.g_count - diagram.c + lam + tau
@@ -155,6 +168,7 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
         cover=cover_dicts,
         reduction_steps=steps,
         case_trace=trace,
+        run=PipelineRun(diagram, chained, tagged, cover, res),
     )
 
 
@@ -184,13 +198,14 @@ def distance_report(
 # Commands
 
 
-def _emit_traces(args, pair: GenomePair) -> None:
+def _emit_traces(args, rep: DistanceReport) -> None:
     wanted = set(args.trace or [])
     if "all" in wanted:
         wanted = {"diagram", "tree", "topology", "reduction", "cover"}
     if not wanted:
         return
-    diagram, _, chained, tagged = tagged_tree_for_pair(pair, args.anchor)
+    run = rep.run
+    diagram, chained, tagged = run.diagram, run.chained, run.tagged
     if "diagram" in wanted:
         print("== diagram ==")
         print(diag_mod.format_cycle_table(diagram))
@@ -217,22 +232,20 @@ def _emit_traces(args, pair: GenomePair) -> None:
             f"fully separated: {report.fully_separated}"
         )
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if "reduction" in wanted or "cover" in wanted:
-        tau, cover, res, trace = tau_star(tagged)
-        if "reduction" in wanted:
-            print("== reduction ==")
-            running = 0
-            if res is not None:
-                for s in res.steps:
-                    running += s.cost
-                    print(f"  {s.kind} on {s.leaf_class}: path {s.path}, cost {s.cost}, running {running}")
-            print(f"  residual lookup: {trace}")
-        if "cover" in wanted:
-            print("== cover ==")
-            print(f"  cases: {trace}")
-            for p in cover.paths:
-                print(f"  path {p.u}..{p.v} ({p.kind}), cost {p.cost}")
-            print(f"  total: {tau}")
+    if "reduction" in wanted:
+        print("== reduction ==")
+        running = 0
+        if run.residual is not None:
+            for s in run.residual.steps:
+                running += s.cost
+                print(f"  {s.kind} on {s.leaf_class}: path {s.path}, cost {s.cost}, running {running}")
+        print(f"  residual lookup: {rep.case_trace}")
+    if "cover" in wanted:
+        print("== cover ==")
+        print(f"  cases: {rep.case_trace}")
+        for p in run.cover.paths:
+            print(f"  path {p.u}..{p.v} ({p.kind}), cost {p.cost}")
+        print(f"  total: {rep.tau_star}")
 
 
 def _cmd_dist(args) -> int:
@@ -247,7 +260,7 @@ def _cmd_dist(args) -> int:
         elif len(a.names() & b.names()) <= 1:
             print("trace: skipped (at most one common marker)", file=sys.stderr)
         else:
-            _emit_traces(args, classify_markers(a, b))
+            _emit_traces(args, rep)
     if args.oracle:
         common = a.names() & b.names()
         exclusive = (a.names() | b.names()) - common

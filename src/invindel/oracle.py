@@ -2,9 +2,11 @@
 
 Two oracles back the whole artifact: an exhaustive minimum-cost cover
 search on tagged trees, and a breadth-first search over genome states for
-the full distance.  Both are deliberately simple and share no code with
-the production paths they certify.  Random instance generators for the
-fuzz suites live here as well.
+the full distance.  Both are deliberately simple: they read their inputs
+through the production tree and genome types, but price paths, search
+covers and apply operations with their own code.  Random instance
+generators for the fuzz suites live here as well; they build their trees
+with the production contraction, since they make inputs, not answers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from itertools import combinations, permutations, product
 from .components import TaggedTree, contract
 from .errors import BudgetExceeded
 from .genome import Chromosome, GenomePair, Marker
-from .treecover import path_cost
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ def _cover_candidates(tree: TaggedTree, allow_bridges: bool) -> list[tuple[int, 
             mask = mask_to[v]
             if not mask:
                 continue
-            cost = path_cost(tree, u, v).cost
+            # a cut costs 1; a merge costs 1 when the endpoints share a tag
+            cost = 1 if u == v or tree.tags(u) & tree.tags(v) else 2
             if mask not in best_for_mask or cost < best_for_mask[mask]:
                 best_for_mask[mask] = cost
     ranked = sorted(best_for_mask.items(), key=lambda mc: (mc[1], -bin(mc[0]).count("1")))

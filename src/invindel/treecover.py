@@ -4,15 +4,16 @@ A cover is a set of paths touching every bad node.  A path on a single bad
 node costs 1 (a component cut); a longer path costs 1 when its endpoints
 share a tag (indel-saving merge) and 2 otherwise.  This module provides
 path costs, the circular-pairing traversal cover, closed forms for the
-single-tag-class trees, and the topology predicates (partition subtrees,
-links, mates, solo candidates) consumed by the reduction and lookup stages.
+single-tag-class trees, and the topology queries (partition subtrees,
+links, mates, solo candidates) that bind residual recipes to nodes and feed
+the topology trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .components import TAG_A, TAG_B, TaggedTree, contract
+from .components import TAG_A, TAG_B, TaggedTree
 from .errors import (
     OddLeafCount,
     PreconditionViolated,
@@ -299,7 +300,8 @@ def compose_support(
 
 
 class Topology:
-    """Predicate surface over one tagged tree.
+    """Partition subtrees, links and tag mates of one tagged tree, as the
+    residual recipes and the topology report read them.
 
     Class arguments are frozensets over {'A','B','C','AB'}; the subtree of a
     class set is the minimal subtree spanning its leaves.
@@ -309,7 +311,6 @@ class Topology:
         self.tree = tree
         self.classes = tree.leaf_classes()
         self._subtrees: dict[frozenset, frozenset[int]] = {}
-        self._pruned: list[tuple[int, "Topology"]] | None = None
 
     def class_leaves(self, classes: frozenset) -> list[int]:
         out: list[int] = []
@@ -317,9 +318,6 @@ class Topology:
             if c in classes:
                 out.extend(self.classes[c])
         return out
-
-    def nonempty(self, classes: frozenset) -> bool:
-        return bool(self.class_leaves(classes))
 
     def subtree(self, classes) -> frozenset[int]:
         key = frozenset(classes)
@@ -351,25 +349,11 @@ class Topology:
         link = self.link_nodes(x, y)
         return link is not None and any(self.tree.is_bad(n) for n in link)
 
-    def corooted(self, x, y) -> bool:
-        if not self.nonempty(frozenset(x)) or not self.nonempty(frozenset(y)):
-            return False
-        return not self.separated(x, y)
-
-    def short_bad_link(self, x, y) -> bool:
-        return len(self.link_bads(x, y)) == 1
-
     def isolated(self, x) -> bool:
         comp = self.complement_classes(x)
         if not comp:
             return False
         return self.separated(x, comp)
-
-    def non_isolated(self, x) -> bool:
-        comp = self.complement_classes(x)
-        if not comp:
-            return False
-        return not self.separated(x, comp)
 
     @property
     def fully_corooted(self) -> bool:
@@ -426,36 +410,15 @@ class Topology:
         carriers = self.mate_nodes(source, tag, host)
         return carriers[0] if carriers else None
 
-    def mate(self, source, tag: str, host) -> bool:
-        return bool(self.mate_nodes(source, tag, host))
-
-    # -- solo candidates and pruned trees -------------------------------------
+    # -- solo candidates -----------------------------------------------------
 
     def solo_candidates(self) -> list[int]:
         return solo_candidates(self.tree)
 
-    @property
-    def has_clean_short_branch(self) -> bool:
-        return bool(self.solo_candidates())
-
-    def pruned_topologies(self) -> list[tuple[int, "Topology"]]:
-        """One topology per clean short leaf branch, with that branch pruned
-        and the tree re-contracted."""
-        if self._pruned is None:
-            self._pruned = []
-            for s in self.solo_candidates():
-                pruned = _pruned_without_branch(self.tree, s)
-                normalized, _ = contract(pruned)
-                self._pruned.append((s, Topology(normalized)))
-        return self._pruned
-
-    def exists_pruned(self, predicate) -> bool:
-        return any(predicate(topo) for _, topo in self.pruned_topologies())
-
 
 @dataclass
 class TopologyReport:
-    """Snapshot of the topology facts used by reductions and lookups."""
+    """Snapshot of a tagged tree's topology facts, for `dist --trace topology`."""
 
     composition: tuple[int, int, int, int]
     leaf_classes: dict[str, list[int]]

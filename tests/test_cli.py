@@ -119,6 +119,27 @@ def test_cli_traces(genome_file, capsys):
     assert "graph tagged_tree" in out
 
 
+def test_cli_trace_runs_pipeline_once(genome_file, capsys, monkeypatch):
+    import invindel.cli as cli
+
+    calls = {"tagged_tree_for_pair": 0, "tau_star": 0}
+
+    def counted(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["dist", genome_file, "--trace", "all"]) == 0
+    assert "== cover ==" in capsys.readouterr().out
+    assert calls == {"tagged_tree_for_pair": 1, "tau_star": 1}
+
+
 def test_cli_linear(tmp_path, capsys):
     from invindel.genome import LINEAR, cap_linear_pair, classify_markers
     from invindel.oracle import OracleBudget, brute_force_distance

@@ -4,7 +4,8 @@ from conftest import bt
 
 import trees as fig
 
-from invindel.errors import UnknownComposition
+from invindel import residual
+from invindel.errors import BudgetExceeded, UnknownComposition
 from invindel.oracle import OracleBudget, brute_force_tau, random_residual_tree
 from invindel.residual import (
     TABLE,
@@ -22,9 +23,19 @@ def test_table_holds_all_56_compositions():
         assert la >= lb
         assert la <= 2 and lb <= 2
         assert lab <= 4
-    # each case list ends in a catch-all
+
+
+def test_case_lists_are_sorted_by_cost():
+    # the lookup returns the first recipe that binds at the minimum cost,
+    # which relies on every list being sorted by cost with reductions last
     for comp, cases in TABLE.items():
-        assert cases[-1].cond.__name__ == "<lambda>"
+        plain = [cs for cs in cases if cs.reduce_class is None]
+        assert cases[: len(plain)] == plain, comp
+        assert len(cases) - len(plain) <= 1, comp
+        costs = [cs.cost for cs in plain]
+        assert costs == sorted(costs), comp
+        for cs in plain:
+            assert sum(spec.cost for spec in cs.recipe) == cs.cost, (comp, cs.label)
 
 
 def test_lookup_2200_topologies():
@@ -101,7 +112,7 @@ def test_lookup_agrees_with_search_per_composition(rng):
 
 
 def test_case_order_preserved_in_labels():
-    # the first matching printed case is reported even when candidates tie
+    # the first case in table order that binds at the optimum is reported
     cost, cover, labels = optimal_cover_of_residual(fig.L2200_COROOTED)
     assert labels[0] == "(2, 2, 0, 0) I"
 
@@ -115,3 +126,24 @@ def test_witness_paths_respect_costs(rng):
             cost, cover, _ = optimal_cover_of_residual(tree)
             for p in cover.paths:
                 assert path_cost(tree, p.u, p.v).cost == p.cost
+
+
+def test_predicate_misses_reach_the_optimum():
+    budget = OracleBudget(max_tree_nodes=16)
+    for name, tree, cost in fig.PREDICATE_MISSES:
+        assert brute_force_tau(tree, budget) == cost, name
+        got, cover, labels = optimal_cover_of_residual(tree)
+        cover.validate(tree)
+        assert got == cover.total_cost == cost, name
+
+
+def test_recipe_budget_raises(monkeypatch):
+    monkeypatch.setattr(residual, "INSTANTIATE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        optimal_cover_of_residual(fig.L2200_COROOTED)
+
+
+def test_reduction_depth_guard_raises():
+    # composition (2, 2, 2, 3) always tries its reduce case, one level deeper
+    with pytest.raises(BudgetExceeded):
+        optimal_cover_of_residual(fig.L2223_R_V, _depth=1)
