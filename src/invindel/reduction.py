@@ -2,23 +2,27 @@
 
 Tagged leaf classes shrink to at most two leaves through balanced
 in-traversals (and to one through an essential-leaf choice when three
-remain); the clean class is reduced while exhaustively testing which clean
-short-branch leaf, if any, should survive as the solo leaf.  Every spent
+remain); the clean class is reduced while testing which clean short-branch
+leaf, if any, should survive as the solo leaf.  The test stops at the first
+hypothesis whose total reaches the input tree's leaf bound
+(`treecover.cover_floor`), which no cover can beat.  Every spent
 in-traversal is recorded, re-expressed in the input tree, so the final
 cover can be assembled and checked end to end.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .components import TaggedTree, reduce_by_paths
-from .errors import DegenerateTree, PreconditionViolated, UnknownComposition
+from .errors import BudgetExceeded, DegenerateTree, PreconditionViolated, UnknownComposition
 from .residual import optimal_cover_of_residual
 from .treecover import (
     Cover,
     CoverPath,
     compose_support,
+    cover_floor,
     cover_tree_with_traversals,
     induced_subtree,
     leaf_branch,
@@ -162,13 +166,15 @@ class _Reducer:
         self.support = {u: frozenset({u}) for u in base.nodes}
         self.steps: list[ReductionStep] = []
         self.swapped = False
+        # every total this reducer and its forks reach is the cost of a cover
+        # of the input tree; swapping A and B leaves the bound unchanged
+        self.floor = cover_floor(base)
 
     def fork(self) -> "_Reducer":
-        other = _Reducer(self.base)
-        other.work = self.work.copy()
-        other.support = dict(self.support)
+        """A branch that shares the trees and the support map, which steps
+        replace and never mutate, and owns a copy of the step list."""
+        other = copy.copy(self)
         other.steps = list(self.steps)
-        other.swapped = self.swapped
         return other
 
     def class_leaves(self, cls: str) -> list[int]:
@@ -259,8 +265,14 @@ def _result_for(branch: _Reducer, solo: int | None, depth: int) -> ResidualResul
 
 
 def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
-    """Reduce the clean class under every solo-leaf hypothesis and keep the
-    hypothesis whose total certified cost is cheapest."""
+    """Reduce the clean class under each solo-leaf hypothesis in turn and
+    keep the first whose total certified cost is cheapest.
+
+    Every total is the cost of a cover of the input tree, so none is below
+    the reducer's leaf bound: the search stops at the first hypothesis that
+    reaches it, the one a full scan would keep too.  When no hypothesis
+    reaches it, every one is tried.
+    """
     la, lb, lc, lab = r.work.composition()
     can1 = lc % 2 == 1 and lc >= 3 and not (la == 1 and lb == 1 and lab == 0)
     hypotheses: list[int | None] = [None]
@@ -279,12 +291,14 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
         result = _result_for(branch, s, depth)
         if best is None or result.total_cost < best.total_cost:
             best = result
+            if best.total_cost <= r.floor:
+                break
     return best
 
 
 def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
     if depth <= 0:
-        raise PreconditionViolated("reduction pipeline failed to converge")
+        raise BudgetExceeded("reduction pipeline failed to converge")
     _reduce_tagged_class(r, "A")
     _reduce_tagged_class(r, "B")
     la, lb, _, _ = r.work.composition()
@@ -298,10 +312,11 @@ def compute_residual(tree: TaggedTree) -> ResidualResult:
     """Reduce a mixed tagged tree to a residual tree and look up its cover.
 
     Order: shrink the A class, then B, swap so the A count dominates, apply
-    the AB gates, then run the clean reduction with the solo search.  When a
-    three-to-one reduction exposes a new leaf that leaves the residual
-    composition outside the tables, the phases run again on the smaller
-    tree.  The returned cover and steps are expressed in the input tree and
+    the AB gates, then run the clean reduction with the solo search, which
+    stops at the input tree's leaf bound.  When a three-to-one reduction
+    exposes a new leaf that leaves the residual composition outside the
+    tables, the phases run again on the smaller tree under the same bound.
+    The returned cover and steps are expressed in the input tree and
     certify the total cost.
     """
     if tree.is_empty or not tree.bad_nodes():

