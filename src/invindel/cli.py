@@ -21,8 +21,9 @@ from .genome import (
     Chromosome,
     GenomePair,
     cap_linear_pair,
-    classify_markers,
+    partition_names,
     read_pair_file,
+    read_pair_text,
 )
 from .oracle import (
     OracleBudget,
@@ -101,12 +102,12 @@ def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[
     return res.total_cost, cover, res, res.case_trace
 
 
-def _trivial_report(a: Chromosome, b: Chromosome) -> DistanceReport:
+def _trivial_report(
+    common: frozenset[str], a_only: frozenset[str], b_only: frozenset[str]
+) -> DistanceReport:
     """At most one common marker: delete the exclusive content of one
     chromosome at once and insert the other's at once."""
-    na, nb = a.names(), b.names()
-    common = na & nb
-    distance = (1 if na - common else 0) + (1 if nb - common else 0)
+    distance = bool(a_only) + bool(b_only)
     return DistanceReport(
         distance=distance,
         g_count=len(common),
@@ -126,7 +127,7 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
             "use distance_report for linear ones"
         )
     if len(pair.common) <= 1:
-        return _trivial_report(pair.a, pair.b)
+        return _trivial_report(pair.common, pair.a_only, pair.b_only)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
@@ -177,21 +178,21 @@ def distance_report(
 ) -> DistanceReport:
     """Distance between two chromosomes, handling the trivial regime and
     linear capping."""
-    common = a.names() & b.names()
+    if a.shape != b.shape:
+        raise InvindelError("both chromosomes must share the same shape")
+    common, a_only, b_only = partition_names(a, b)
     if len(common) <= 1:
-        return _trivial_report(a, b)
-    if a.shape == LINEAR or b.shape == LINEAR:
-        if a.shape != LINEAR or b.shape != LINEAR:
-            raise InvindelError("both chromosomes must share the same shape")
-        pair = classify_markers(a, b)
-        best = None
-        for i, capped in enumerate(cap_linear_pair(pair)):
-            rep = compute_distance(capped, anchor)
-            rep.capping = "as-read" if i == 0 else "flipped"
-            if best is None or rep.distance < best.distance:
-                best = rep
-        return best
-    return compute_distance(classify_markers(a, b), anchor)
+        return _trivial_report(common, a_only, b_only)
+    pair = GenomePair(a, b, common, a_only, b_only)
+    if a.shape == CIRCULAR:
+        return compute_distance(pair, anchor)
+    best = None
+    for i, capped in enumerate(cap_linear_pair(pair)):
+        rep = compute_distance(capped, anchor)
+        rep.capping = "as-read" if i == 0 else "flipped"
+        if best is None or rep.distance < best.distance:
+            best = rep
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +258,20 @@ def _cmd_dist(args) -> int:
     if args.trace:
         if a.shape != CIRCULAR:
             print("trace: skipped (linear input)", file=sys.stderr)
-        elif len(a.names() & b.names()) <= 1:
+        elif rep.run is None:
             print("trace: skipped (at most one common marker)", file=sys.stderr)
         else:
             _emit_traces(args, rep)
     if args.oracle:
-        common = a.names() & b.names()
-        exclusive = (a.names() | b.names()) - common
+        common, a_only, b_only = partition_names(a, b)
         budget = OracleBudget(max_common=5, max_exclusive=3)
         if a.shape != CIRCULAR:
             print("oracle: skipped (linear input)", file=sys.stderr)
-        elif len(common) <= budget.max_common and len(exclusive) <= budget.max_exclusive:
-            pair = GenomePair(
-                a, b, frozenset(common), a.names() - common, b.names() - common
-            )
+        elif (
+            len(common) <= budget.max_common
+            and len(a_only) + len(b_only) <= budget.max_exclusive
+        ):
+            pair = GenomePair(a, b, common, a_only, b_only)
             try:
                 exact = brute_force_distance(pair, budget)
             except BudgetExceeded:
@@ -356,8 +357,9 @@ def _cmd_bench(args) -> int:
         times = []
         for _ in range(args.repeats):
             pair = random_genome_pair(rng, n, max(1, n // 100), max(1, n // 100))
+            text = f"{pair.a.text()}\n{pair.b.text()}\n"
             t0 = time.perf_counter()
-            compute_distance(pair)
+            distance_report(*read_pair_text(text))
             times.append(time.perf_counter() - t0)
         med = statistics.median(times)
         ratio = "" if prev is None else f"  ratio {med / prev:.2f}"
@@ -393,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time the pipeline on random genomes")
+    p_bench = sub.add_parser(
+        "bench", help="time parsing and the pipeline on random genome texts"
+    )
     p_bench.add_argument("--sizes", default="1000,2000,4000,8000")
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)

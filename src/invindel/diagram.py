@@ -6,50 +6,24 @@ Consecutive extremities on a line are joined by an edge labeled with the
 exclusive markers lying between them; equal extremities across the lines
 are joined by dotted edges.  The diagram decomposes into cycles that
 alternate upper and lower edges.
+
+The walk runs over integers.  The common marker at place ``k`` of the upper
+line, read from the anchor, has index ``k``; its extremities are ``2*k``,
+the one the upper line reads first, and ``2*k + 1``.  Upper edge ``k`` then
+joins ``2*k + 1`` to ``2*k + 2`` (modulo ``2*g``), so only the lower line
+needs arrays: the extremity at each place of the line and the place of each
+extremity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
-from .genome import Chromosome, GenomePair, Marker
-
-TAIL = "t"
-HEAD = "h"
+from .genome import Chromosome, GenomePair
 
 UPPER = "A"
 LOWER = "B"
-
-
-@dataclass(frozen=True)
-class Extremity:
-    marker: str
-    end: str
-
-    def __str__(self) -> str:
-        return f"{self.marker}^{self.end}"
-
-
-def _ends(m: Marker) -> tuple[Extremity, Extremity]:
-    """Extremities of a marker occurrence in reading order."""
-    t, h = Extremity(m.name, TAIL), Extremity(m.name, HEAD)
-    return (t, h) if m.forward else (h, t)
-
-
-@dataclass
-class LineEdge:
-    """One upper-line (A) or lower-line (B) edge between adjacent extremities."""
-
-    index: int
-    left: Extremity
-    right: Extremity
-    label: tuple[Marker, ...]
-
-    @property
-    def labeled(self) -> bool:
-        return bool(self.label)
 
 
 @dataclass(frozen=True)
@@ -62,41 +36,63 @@ class CycleStep:
     labeled: bool
 
 
-@dataclass
+@dataclass(slots=True)
+class _Lines:
+    """The two lines of a diagram as flat arrays over extremities.
+
+    ``lower_seq[p]`` is the extremity at place ``p`` of the lower line
+    (edge ``p // 2``, its left end when ``p`` is even) and ``lower_at`` is
+    its inverse; ``upper_labeled``/``lower_labeled`` flag the edges that
+    carry exclusive markers.
+    """
+
+    g: int
+    upper_labeled: bytearray
+    lower_labeled: bytearray
+    lower_seq: list[int]
+    lower_at: list[int]
+
+    def steps(self, first_edge: int) -> tuple[CycleStep, ...]:
+        """The walk of the cycle through the left end of upper edge
+        ``first_edge``."""
+        g, n2 = self.g, 2 * self.g
+        out = []
+        start = x = 2 * first_edge + 1
+        while True:
+            left = bool(x & 1)
+            e = x >> 1 if left else ((x >> 1) - 1) % g
+            out.append(CycleStep(UPPER, e, left, bool(self.upper_labeled[e])))
+            p = self.lower_at[(x + 1) % n2 if left else (x - 1) % n2]
+            out.append(CycleStep(LOWER, p >> 1, not p & 1, bool(self.lower_labeled[p >> 1])))
+            x = self.lower_seq[p ^ 1]
+            if x == start:
+                return tuple(out)
+
+
+@dataclass(slots=True)
 class Cycle:
+    """A cycle of the diagram, summarized by the walk that found it."""
+
     id: int
-    steps: tuple[CycleStep, ...]
+    a_positions: tuple[int, ...]  # its upper edges, sorted
+    good: bool  # some two upper edges are walked in opposite directions
+    runs: int  # maximal single-genome runs of labeled edges along the cycle
+    has_a_run: bool
+    has_b_run: bool
+    _lines: _Lines = field(repr=False, compare=False)
 
-    @cached_property
-    def a_steps(self) -> tuple[CycleStep, ...]:
-        return tuple(s for s in self.steps if s.side == UPPER)
-
-    @cached_property
-    def a_positions(self) -> tuple[int, ...]:
-        return tuple(sorted(s.index for s in self.a_steps))
+    @property
+    def steps(self) -> tuple[CycleStep, ...]:
+        """The walk itself, rebuilt on demand."""
+        return self._lines.steps(self.a_positions[0])
 
     @property
     def is_two_cycle(self) -> bool:
-        return len(self.steps) == 2
+        return len(self.a_positions) == 1
 
-    @cached_property
-    def good(self) -> bool:
-        """A cycle is good when some pair of its upper edges is traversed in
-        opposite directions, so a split inversion exists."""
-        dirs = {s.left_to_right for s in self.a_steps}
-        return len(dirs) == 2
-
-    @cached_property
+    @property
     def labeled(self) -> bool:
-        return any(s.labeled for s in self.steps)
-
-    @cached_property
-    def has_a_run(self) -> bool:
-        return any(s.labeled for s in self.steps if s.side == UPPER)
-
-    @cached_property
-    def has_b_run(self) -> bool:
-        return any(s.labeled for s in self.steps if s.side == LOWER)
+        return self.has_a_run or self.has_b_run
 
     @property
     def has_both_runs(self) -> bool:
@@ -105,12 +101,7 @@ class Cycle:
 
 def run_count(cycle: Cycle) -> int:
     """Number of maximal single-genome runs of labeled edges along the cycle."""
-    sides = [s.side for s in cycle.steps if s.labeled]
-    if not sides:
-        return 0
-    n = len(sides)
-    switches = sum(1 for i in range(n) if sides[i] != sides[(i + 1) % n])
-    return switches if switches else 1
+    return cycle.runs
 
 
 def indel_potential(runs: int) -> int:
@@ -126,7 +117,7 @@ def classify_cycle(cycle: Cycle) -> tuple[str, str, str]:
     """(good|bad, sorted_2cycle|unsorted, tag profile)."""
     kind = "good" if cycle.good else "bad"
     sortedness = "sorted_2cycle" if cycle.is_two_cycle else "unsorted"
-    runs = run_count(cycle)
+    runs = cycle.runs
     if runs == 0:
         profile = "clean"
     elif cycle.has_a_run and cycle.has_b_run:
@@ -138,60 +129,56 @@ def classify_cycle(cycle: Cycle) -> tuple[str, str, str]:
     return kind, sortedness, profile
 
 
-def _orient_to_anchor(ch: Chromosome, anchor: str) -> tuple[Marker, ...]:
-    """Rotate (and flip if needed) so the anchor comes first, forward."""
-    markers = ch.markers
-    idx = next(i for i, m in enumerate(markers) if m.name == anchor)
-    if not markers[idx].forward:
-        rev = ch.reversed_flipped().markers
-        idx = next(i for i, m in enumerate(rev) if m.name == anchor)
-        markers = rev
-    return markers[idx:] + markers[:idx]
+def _line(ch: Chromosome, common: frozenset[str], anchor: str):
+    """Common-marker names and orientations of a chromosome read from the
+    anchor, the anchor's own orientation, and a flag per gap between
+    consecutive common markers: 1 when exclusive markers lie in it.
 
-
-def _build_line(ch: Chromosome, anchor: str, common: frozenset[str]) -> list[LineEdge]:
-    seq = _orient_to_anchor(ch, anchor)
-    commons: list[Marker] = []
-    labels: list[list[Marker]] = []
-    pending: list[Marker] = []
-    for m in seq:
+    Read from the anchor forward means rotating the stored order; when the
+    anchor is stored reversed, the line reads the stored order backwards
+    with every orientation flipped, and the flip is left to the caller.
+    """
+    names: list[str] = []
+    forward: list[bool] = []
+    gaps = bytearray()
+    lead = pending = 0
+    for m in ch.markers:
         if m.name in common:
-            if commons:
-                labels.append(pending)
-                pending = []
-            commons.append(m)
+            if names:
+                gaps.append(pending)
+            else:
+                lead = pending
+            names.append(m.name)
+            forward.append(m.forward)
+            pending = 0
         else:
-            pending.append(m)
-    labels.append(pending)  # exclusives between the last common marker and the anchor
-    # Leading exclusives can only occur before the anchor itself, which is
-    # always first after rotation, so the label list lines up with the gaps.
-    k = len(commons)
-    edges = []
-    for i in range(k):
-        left = _ends(commons[i])[1]
-        right = _ends(commons[(i + 1) % k])[0]
-        edges.append(LineEdge(i, left, right, tuple(labels[i])))
-    return edges
+            pending = 1
+    gaps.append(pending | lead)  # from the last common marker round to the first
+    i = names.index(anchor)
+    if forward[i]:
+        return names[i:] + names[:i], forward[i:] + forward[:i], gaps[i:] + gaps[:i], True
+    # Backwards, marker i - k comes k-th and gap i - k - 1 follows it.
+    return (
+        names[i::-1] + names[:i:-1],
+        forward[i::-1] + forward[:i:-1],
+        gaps[i - 1 :: -1] + gaps[: i - 1 : -1],
+        False,
+    )
 
 
 @dataclass
 class RelationalDiagram:
     pair: GenomePair
     anchor: str
-    upper: list[LineEdge]
-    lower: list[LineEdge]
+    g_count: int
     cycles: list[Cycle]
 
     @property
     def c(self) -> int:
         return len(self.cycles)
 
-    @property
-    def g_count(self) -> int:
-        return len(self.upper)
-
     def indel_potential_sum(self) -> int:
-        return sum(indel_potential(run_count(c)) for c in self.cycles)
+        return sum(indel_potential(c.runs) for c in self.cycles)
 
     def cycle_of_a_edge(self) -> list[int]:
         owner = [-1] * self.g_count
@@ -204,51 +191,84 @@ class RelationalDiagram:
 def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram:
     if anchor not in pair.common:
         raise AnchorNotCommon(anchor)
-    upper = _build_line(pair.a, anchor, pair.common)
-    lower = _build_line(pair.b, anchor, pair.common)
+    a_names, a_forward, upper_labeled, a_as_stored = _line(pair.a, pair.common, anchor)
+    b_names, b_forward, lower_labeled, b_as_stored = _line(pair.b, pair.common, anchor)
+    g = len(a_names)
+    n2 = 2 * g
 
-    def edge_map(edges: list[LineEdge]) -> dict[Extremity, tuple[int, bool]]:
-        # extremity -> (edge index, extremity is the left endpoint)
-        out: dict[Extremity, tuple[int, bool]] = {}
-        for e in edges:
-            out[e.left] = (e.index, True)
-            out[e.right] = (e.index, False)
-        return out
+    # The lower line reads marker k's extremities in the upper line's order
+    # when both lines hold it in the same orientation.  Orientations are as
+    # stored, so a line read backwards flips all of its markers at once.
+    flip = a_as_stored != b_as_stored
+    first_end = {
+        name: 2 * k + (fwd ^ flip) for k, (name, fwd) in enumerate(zip(a_names, a_forward))
+    }
+    firsts = [first_end[name] ^ fwd for name, fwd in zip(b_names, b_forward)]
+    lower_seq = [0] * n2
+    lower_seq[0::2] = [x ^ 1 for x in firsts]
+    lower_seq[1::2] = firsts[1:] + firsts[:1]
+    lower_at = [0] * n2
+    for p, x in enumerate(lower_seq):
+        lower_at[x] = p
+    lines = _Lines(g, upper_labeled, lower_labeled, lower_seq, lower_at)
 
-    upper_at = edge_map(upper)
-    lower_at = edge_map(lower)
-
-    # Upper extremities in line order; cycles start at the leftmost
-    # unvisited one and walk through its upper edge first.
-    order: list[Extremity] = []
-    for e in upper:
-        order.append(e.left)
-        order.append(e.right)
-
-    visited: set[Extremity] = set()
+    # Each cycle starts at the leftmost upper extremity not yet walked, the
+    # left end of its first upper edge, and walks that edge first.
+    seen = bytearray(g)
     cycles: list[Cycle] = []
-    for start in order:
-        if start in visited:
+    for e0 in range(g):
+        if seen[e0]:
             continue
-        steps: list[CycleStep] = []
-        cur = start
+        start = x = 2 * e0 + 1
+        positions = []
+        left_to_right = right_to_left = False
+        has_a = has_b = False
+        first_side = last_side = -1  # sides of labeled edges: 0 upper, 1 lower
+        switches = 0
         while True:
-            idx, at_left = upper_at[cur]
-            edge = upper[idx]
-            steps.append(CycleStep(UPPER, idx, at_left, edge.labeled))
-            visited.add(cur)
-            cur = edge.right if at_left else edge.left
-            visited.add(cur)
-            # dotted edge down to the same extremity on the lower line
-            idx, at_left = lower_at[cur]
-            edge = lower[idx]
-            steps.append(CycleStep(LOWER, idx, at_left, edge.labeled))
-            cur = edge.right if at_left else edge.left
-            # dotted edge back up
-            if cur == start:
+            if x & 1:
+                e = x >> 1
+                y = x + 1 if x + 1 < n2 else 0
+                left_to_right = True
+            else:
+                e = (x >> 1) - 1 if x else g - 1
+                y = x - 1 if x else n2 - 1
+                right_to_left = True
+            seen[e] = 1
+            positions.append(e)
+            if upper_labeled[e]:
+                has_a = True
+                if last_side == 1:
+                    switches += 1
+                elif first_side < 0:
+                    first_side = 0
+                last_side = 0
+            p = lower_at[y]
+            if lower_labeled[p >> 1]:
+                has_b = True
+                if last_side == 0:
+                    switches += 1
+                elif first_side < 0:
+                    first_side = 1
+                last_side = 1
+            x = lower_seq[p ^ 1]
+            if x == start:
                 break
-        cycles.append(Cycle(len(cycles), tuple(steps)))
-    return RelationalDiagram(pair, anchor, upper, lower, cycles)
+        if first_side >= 0 and last_side != first_side:
+            switches += 1
+        positions.sort()
+        cycles.append(
+            Cycle(
+                len(cycles),
+                tuple(positions),
+                left_to_right and right_to_left,
+                switches or int(first_side >= 0),
+                has_a,
+                has_b,
+                lines,
+            )
+        )
+    return RelationalDiagram(pair, anchor, g, cycles)
 
 
 def format_cycle_table(diagram: RelationalDiagram) -> str:
@@ -256,10 +276,10 @@ def format_cycle_table(diagram: RelationalDiagram) -> str:
     lines = [f"anchor: {diagram.anchor}  cycles: {diagram.c}  common: {diagram.g_count}"]
     for cyc in diagram.cycles:
         kind, sortedness, profile = classify_cycle(cyc)
-        runs = run_count(cyc)
+        runs = cyc.runs
         lam = indel_potential(runs)
         lines.append(
-            f"  cycle {cyc.id}: length {2 * len(cyc.steps)}, a-edges "
+            f"  cycle {cyc.id}: length {4 * len(cyc.a_positions)}, a-edges "
             f"{list(cyc.a_positions)}, runs {runs}, potential {lam}, "
             f"{kind}, {sortedness}, profile {profile}"
         )

@@ -8,6 +8,8 @@ marker names into the common set and the two exclusive sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 from .errors import (
     DuplicateMarker,
@@ -23,18 +25,34 @@ LINEAR = "linear"
 SIGN_PREFIX = "-"
 
 
-@dataclass(frozen=True)
-class Marker:
-    """One oriented marker occurrence."""
+class Marker(NamedTuple):
+    """One oriented marker occurrence.
+
+    A marker equals and hashes like a frozen record of its two fields: it
+    equals only another marker, never a plain tuple.
+    """
 
     name: str
     forward: bool = True
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Marker and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def flipped(self) -> "Marker":
         return Marker(self.name, not self.forward)
 
     def token(self) -> str:
         return self.name if self.forward else SIGN_PREFIX + self.name
+
+
+# Builds a marker from a (name, forward) tuple without the Python-level
+# ``Marker.__new__`` wrapper around this same call, for the parser.
+_new_marker = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -64,20 +82,28 @@ def parse_chromosome(text: str, shape: str = CIRCULAR) -> Chromosome:
     tokens = text.split()
     if not tokens:
         raise EmptyInput("chromosome line holds no markers")
-    markers = []
-    seen = set()
-    for tok in tokens:
-        forward = True
-        if tok.startswith(SIGN_PREFIX):
-            forward = False
-            tok = tok[len(SIGN_PREFIX):]
-        if not tok or tok.startswith(SIGN_PREFIX) or any(c.isspace() for c in tok):
-            raise MalformedToken(f"bad marker token: {tok!r}")
-        if tok in seen:
-            raise DuplicateMarker(tok)
-        seen.add(tok)
-        markers.append(Marker(tok, forward))
-    return Chromosome(tuple(markers), shape)
+    names = [tok[1:] if tok[0] == SIGN_PREFIX else tok for tok in tokens]
+    # A name is bad when empty, still signed or repeated; only a doubled
+    # sign in the text can leave a name signed.
+    if (
+        "" in names
+        or len(set(names)) < len(names)
+        or (2 * SIGN_PREFIX in text and any(n[0] == SIGN_PREFIX for n in names))
+    ):
+        _raise_first_bad_name(names)
+    forward = [tok[0] != SIGN_PREFIX for tok in tokens]
+    return Chromosome(tuple(map(_new_marker, repeat(Marker), zip(names, forward))), shape)
+
+
+def _raise_first_bad_name(names: list[str]) -> None:
+    """Raise the error of the first bad name in reading order."""
+    seen: set[str] = set()
+    for name in names:
+        if not name or name[0] == SIGN_PREFIX:
+            raise MalformedToken(f"bad marker token: {name!r}")
+        if name in seen:
+            raise DuplicateMarker(name)
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -91,25 +117,33 @@ class GenomePair:
     b_only: frozenset[str]
 
 
+def partition_names(
+    a: Chromosome, b: Chromosome
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """The common, a-only and b-only marker names."""
+    na, nb = a.names(), b.names()
+    common = na & nb
+    return common, na - common, nb - common
+
+
 def classify_markers(a: Chromosome, b: Chromosome) -> GenomePair:
     """Split marker names into common and exclusive sets.
 
     Raises TooFewCommonMarkers when fewer than two markers are shared; that
     regime is handled directly by the top-level distance computation.
     """
-    na, nb = a.names(), b.names()
-    common = na & nb
+    common, a_only, b_only = partition_names(a, b)
     if len(common) <= 1:
         raise TooFewCommonMarkers(
             f"only {len(common)} common marker(s); the distance is trivial"
         )
-    return GenomePair(a, b, frozenset(common), frozenset(na - nb), frozenset(nb - na))
+    return GenomePair(a, b, common, a_only, b_only)
 
 
-def _fresh_cap_name(taken: frozenset[str]) -> str:
+def _fresh_cap_name(pair: GenomePair) -> str:
     name = "__cap"
     k = 0
-    while name in taken:
+    while name in pair.common or name in pair.a_only or name in pair.b_only:
         k += 1
         name = f"__cap{k}"
     return name
@@ -124,7 +158,7 @@ def cap_linear_pair(pair: GenomePair) -> list[GenomePair]:
     """
     if pair.a.shape != LINEAR or pair.b.shape != LINEAR:
         raise NotLinear("both chromosomes must be linear")
-    cap = Marker(_fresh_cap_name(pair.a.names() | pair.b.names()))
+    cap = Marker(_fresh_cap_name(pair))
     a_capped = Chromosome(pair.a.markers + (cap,), CIRCULAR)
     b_fwd = Chromosome(pair.b.markers + (cap,), CIRCULAR)
     b_rev = Chromosome(pair.b.reversed_flipped().markers + (cap,), CIRCULAR)

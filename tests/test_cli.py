@@ -48,6 +48,17 @@ def test_trivial_regime():
     assert rep.distance == 2
 
 
+def test_mixed_shapes_rejected_in_both_regimes():
+    # at most one common marker (trivial regime) and two or more
+    for a_text, b_text in (("a x y", "a z"), ("a b x", "b a")):
+        with pytest.raises(InvindelError, match="same shape"):
+            distance_report(parse_chromosome(a_text, LINEAR), parse_chromosome(b_text))
+        with pytest.raises(InvindelError, match="same shape"):
+            distance_report(parse_chromosome(a_text), parse_chromosome(b_text, LINEAR))
+    lin = distance_report(parse_chromosome("a x y", LINEAR), parse_chromosome("a z", LINEAR))
+    assert lin.distance == 2 and lin.case_trace == ["trivial"]
+
+
 def test_tau_star_dispatch():
     shared = bt({0: "bA", 1: "b", 2: "bA"}, [(0, 1), (1, 2)])
     cost, cover, res, trace = tau_star(shared)

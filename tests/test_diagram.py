@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+import reference_diagram
 from invindel.diagram import (
+    CycleStep,
     build_relational_diagram,
     classify_cycle,
     indel_potential,
     run_count,
 )
 from invindel.errors import AnchorNotCommon, OddRunCountAboveOne
-from invindel.genome import classify_markers, parse_chromosome
+from invindel.genome import LINEAR, Chromosome, cap_linear_pair, classify_markers, parse_chromosome
 from invindel.oracle import OracleBudget, brute_force_distance, random_genome_pair
 
 
@@ -136,3 +138,70 @@ def test_no_bad_component_formula_matches_search():
         formula = d.g_count - d.c + d.indel_potential_sum()
         assert brute_force_distance(pair, budget) == formula
         assert compute_distance(pair).distance == formula
+
+
+def _census(d):
+    return [
+        (c.id, c.a_positions, c.good, run_count(c), c.has_a_run, c.has_b_run, c.is_two_cycle)
+        for c in d.cycles
+    ]
+
+
+def test_integer_walk_matches_reference_walk():
+    # the integer walk against the named-extremity walk of
+    # tests/reference_diagram.py: the same cycles at every anchor, and the
+    # same steps at one anchor per pair
+    rng = random.Random(2027)
+    reversed_in = {(False, False): 0, (True, False): 0, (False, True): 0, (True, True): 0}
+    capped = 0
+    for _ in range(2000):
+        g = rng.randint(2, 60)
+        pair = random_genome_pair(rng, g, rng.randint(0, 6), rng.randint(0, 6))
+        pairs = [pair]
+        if rng.random() < 0.5:
+            linear = classify_markers(
+                Chromosome(pair.a.markers, LINEAR), Chromosome(pair.b.markers, LINEAR)
+            )
+            pairs = cap_linear_pair(linear)
+            capped += 1
+        for p in pairs:
+            fwd_a = {m.name: m.forward for m in p.a.markers}
+            fwd_b = {m.name: m.forward for m in p.b.markers}
+            for i, anchor in enumerate(sorted(p.common)):
+                d = build_relational_diagram(p, anchor)
+                ref = reference_diagram.cycle_steps(p, anchor)
+                assert _census(d) == reference_diagram.census(ref)
+                if i == 0:
+                    assert [list(c.steps) for c in d.cycles] == [
+                        [CycleStep(*s) for s in steps] for steps in ref
+                    ]
+                reversed_in[not fwd_a[anchor], not fwd_b[anchor]] += 1
+    assert capped > 500
+    assert min(reversed_in.values()) > 1000
+
+
+def test_trace_diagram_output_pinned(tmp_path, capsys):
+    from invindel.cli import main
+
+    path = tmp_path / "figure.txt"
+    path.write_text(
+        "a t j b d f e g -c h i u k v o n l m\na w b c d e f g h x i j y k l z m n o\n"
+    )
+    assert main(["dist", str(path), "--trace", "diagram"]) == 0
+    assert capsys.readouterr().out == FIGURE_TRACE
+
+
+FIGURE_TRACE = """\
+== diagram ==
+anchor: a  cycles: 7  common: 15
+  cycle 0: length 12, a-edges [0, 1, 9], runs 2, potential 2, bad, unsorted, profile AB1
+  cycle 1: length 12, a-edges [2, 6, 7], runs 0, potential 0, good, unsorted, profile clean
+  cycle 2: length 12, a-edges [3, 4, 5], runs 0, potential 0, bad, unsorted, profile clean
+  cycle 3: length 4, a-edges [8], runs 1, potential 1, bad, sorted_2cycle, profile B
+  cycle 4: length 8, a-edges [10, 12], runs 1, potential 1, bad, unsorted, profile A
+  cycle 5: length 8, a-edges [11, 14], runs 0, potential 0, bad, unsorted, profile clean
+  cycle 6: length 4, a-edges [13], runs 1, potential 1, bad, sorted_2cycle, profile B
+distance: 15
+common: 15  cycles: 7  indel potential: 5  extra cover: 2
+anchor: a
+"""

@@ -162,3 +162,35 @@ def test_canonical_form_rotation_reflection_invariant():
         i = rng.randrange(n)
         assert canonical_tokens(tokens[i:] + tokens[:i]) == base
         assert canonical_tokens(ch.reversed_flipped().tokens()) == base
+
+
+def test_parse_pins():
+    with pytest.raises(DuplicateMarker, match="^a$"):
+        parse_chromosome("a -a")
+    with pytest.raises(DuplicateMarker, match="^a$"):
+        parse_chromosome("a a")
+    with pytest.raises(MalformedToken, match=r"^bad marker token: ''$"):
+        parse_chromosome("a -")
+    with pytest.raises(MalformedToken, match=r"^bad marker token: '-b'$"):
+        parse_chromosome("a --b")
+    # the first bad token in reading order decides the error
+    with pytest.raises(DuplicateMarker):
+        parse_chromosome("a a --b")
+    with pytest.raises(MalformedToken):
+        parse_chromosome("a --b a a")
+    assert parse_chromosome("x a--b -c").tokens() == ("x", "a--b", "-c")
+    # any Unicode whitespace separates tokens
+    assert parse_chromosome("a\u00a0b").markers == (Marker("a"), Marker("b"))
+    assert parse_chromosome("a\u2003-b").markers == (Marker("a"), Marker("b", False))
+
+
+def test_marker_is_a_frozen_record():
+    m = Marker("a", False)
+    assert m == Marker("a", False) and m != Marker("a") and m != Marker("b", False)
+    assert m != ("a", False) and not m == ("a", False)
+    assert hash(m) == hash(("a", False))
+    assert {Marker("a"): 1}[parse_chromosome("a").markers[0]] == 1
+    assert repr(m) == "Marker(name='a', forward=False)"
+    with pytest.raises(AttributeError):
+        m.name = "b"
+    assert m.flipped() == Marker("a") and m.token() == "-a"
