@@ -9,9 +9,10 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .diagram import Cycle, RelationalDiagram, build_relational_diagram, run_count
+from .diagram import RelationalDiagram, build_relational_diagram
 from .errors import InvindelError
 from .genome import GenomePair
 
@@ -23,8 +24,7 @@ GOOD = "good"
 BAD = "bad"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     id: int
     cycles: tuple[int, ...]
     kind: str
@@ -49,17 +49,6 @@ class _UnionFind:
         if rx != ry:
             self.parent[ry] = rx
         return rx
-
-
-def cycles_interleave(c1: Cycle, c2: Cycle) -> bool:
-    """Direct pairwise test: each cycle owns an upper edge strictly inside
-    the other's span."""
-    p1, p2 = c1.a_positions, c2.a_positions
-    if len(p1) < 2 or len(p2) < 2:
-        return False
-    inside_2 = any(p2[0] < p < p2[-1] for p in p1)
-    inside_1 = any(p1[0] < p < p1[-1] for p in p2)
-    return inside_1 and inside_2
 
 
 def _sweep_interleaving(
@@ -119,10 +108,25 @@ def _group_interleaving(diagram: RelationalDiagram) -> list[list[int]]:
     uf = _sweep_interleaving(
         diagram.cycle_of_a_edge(), [c.a_positions for c in cycles]
     )
+    # Cycle ids follow the first upper edge, so each group is met first at
+    # its leftmost cycle and the groups come out in left-to-right order.
     groups: dict[int, list[int]] = {}
-    for cyc in cycles:
-        groups.setdefault(uf.find(cyc.id), []).append(cyc.id)
-    return sorted(groups.values(), key=lambda ids: min(cycles[i].a_positions[0] for i in ids))
+    find = uf.find
+    for i in range(len(cycles)):
+        root = find(i)
+        if root in groups:
+            groups[root].append(i)
+        else:
+            groups[root] = [i]
+    return list(groups.values())
+
+
+_TAG_SETS = {
+    (False, False): frozenset(),
+    (True, False): frozenset({TAG_A}),
+    (False, True): frozenset({TAG_B}),
+    (True, True): frozenset({TAG_A, TAG_B}),
+}
 
 
 def find_components(diagram: RelationalDiagram) -> list[Component]:
@@ -136,25 +140,31 @@ def find_components(diagram: RelationalDiagram) -> list[Component]:
     cycles = diagram.cycles
     comps: list[Component] = []
     for comp_id, ids in enumerate(_group_interleaving(diagram)):
+        if len(ids) == 1:
+            c = cycles[ids[0]]
+            pos = c.a_positions
+            a, b = c.has_a_run, c.has_b_run
+            if len(pos) == 1:
+                kind = TRIVIAL
+            elif c.good or c.runs >= 4:
+                kind = GOOD
+            else:
+                kind = BAD
+            comps.append(
+                Component(comp_id, (c.id,), kind, _TAG_SETS[a, b], (pos[0], pos[-1]), int(a and b))
+            )
+            continue
         members = [cycles[i] for i in ids]
-        tags = set()
-        if any(c.has_a_run for c in members):
-            tags.add(TAG_A)
-        if any(c.has_b_run for c in members):
-            tags.add(TAG_B)
-        both = sum(1 for c in members if c.has_both_runs)
-        effective_good = any(c.good or run_count(c) >= 4 for c in members) or both >= 2
-        if len(members) == 1 and members[0].is_two_cycle:
-            kind = TRIVIAL
-        elif effective_good:
-            kind = GOOD
-        else:
-            kind = BAD
-        span = (
-            min(c.a_positions[0] for c in members),
-            max(c.a_positions[-1] for c in members),
-        )
-        comps.append(Component(comp_id, tuple(sorted(ids)), kind, frozenset(tags), span, both))
+        a = b = good = False
+        both = 0
+        for c in members:
+            a |= c.has_a_run
+            b |= c.has_b_run
+            good |= c.good or c.runs >= 4
+            both += c.has_a_run and c.has_b_run
+        span = (members[0].a_positions[0], max(c.a_positions[-1] for c in members))
+        kind = GOOD if good or both >= 2 else BAD
+        comps.append(Component(comp_id, tuple(ids), kind, _TAG_SETS[a, b], span, both))
     return comps
 
 
@@ -167,31 +177,49 @@ class ChainedTree:
     chain_parent: list[int | None]  # nesting component id per chain
     root_chain: int
 
+    def parent_array(self) -> list[int]:
+        """The parent of every node, -1 at the root.  Component ``c`` is node
+        ``c`` and chain ``i`` is node ``len(components) + i``; a component's
+        parent is its chain, a chain's is the component it nests in."""
+        m = len(self.components)
+        parent = [-1] * (m + len(self.chains))
+        for ci, chain in enumerate(self.chains):
+            sq = m + ci
+            for c in chain:
+                parent[c] = sq
+            nest = self.chain_parent[ci]
+            if nest is not None:
+                parent[sq] = nest
+        return parent
+
 
 def build_chained_tree(components: list[Component], diagram: RelationalDiagram) -> ChainedTree:
     n = diagram.g_count
+    cycles = diagram.cycles
     comp_of_edge = [-1] * n
     for comp in components:
+        cid = comp.id
         for cyc_id in comp.cycles:
-            for p in diagram.cycles[cyc_id].a_positions:
-                comp_of_edge[p] = comp.id
+            for p in cycles[cyc_id].a_positions:
+                comp_of_edge[p] = cid
 
-    succ: dict[int, int] = {}
-    has_pred: set[int] = set()
+    m = len(components)
+    succ = [-1] * m
+    has_pred = bytearray(m)
     for comp in components:
-        right = comp.span[1]
-        if right + 1 < n:
-            nxt = comp_of_edge[right + 1]
-            if components[nxt].span[0] == right + 1:
+        right = comp.span[1] + 1
+        if right < n:
+            nxt = comp_of_edge[right]
+            if components[nxt].span[0] == right:
                 succ[comp.id] = nxt
-                has_pred.add(nxt)
+                has_pred[nxt] = 1
 
     chains: list[list[int]] = []
-    for comp in components:
-        if comp.id in has_pred:
+    for c in range(m):
+        if has_pred[c]:
             continue
-        chain = [comp.id]
-        while chain[-1] in succ:
+        chain = [c]
+        while succ[chain[-1]] >= 0:
             chain.append(succ[chain[-1]])
         chains.append(chain)
 
@@ -213,41 +241,6 @@ def build_chained_tree(components: list[Component], diagram: RelationalDiagram) 
     return ChainedTree(components, chains, chain_parent, roots[0])
 
 
-def _chained_adjacency(tree: ChainedTree) -> dict[tuple, set[tuple]]:
-    adj: dict[tuple, set[tuple]] = {}
-
-    def add(u, v):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    for ci, chain in enumerate(tree.chains):
-        sq = ("square", ci)
-        adj.setdefault(sq, set())
-        for comp_id in chain:
-            add(sq, ("round", comp_id))
-        parent = tree.chain_parent[ci]
-        if parent is not None:
-            add(sq, ("round", parent))
-    return adj
-
-
-def _steiner_nodes(adj: dict, targets: set) -> set:
-    """Nodes of the minimal subtree spanning the target set."""
-    if not targets:
-        return set()
-    alive = {u: set(vs) for u, vs in adj.items()}
-    pruned = True
-    while pruned:
-        pruned = False
-        for u in list(alive):
-            if u not in targets and len(alive[u]) <= 1:
-                for v in alive[u]:
-                    alive[v].discard(u)
-                del alive[u]
-                pruned = True
-    return set(alive)
-
-
 def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     """Simulate the costless joint inversions between both-run cycles.
 
@@ -256,17 +249,42 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     them, into one good component at no extra cost.  Modelled by turning
     every round node on the spanning subtree of the carriers good before
     contraction.
+
+    The spanning subtree is found over the parent array: walk up from each
+    carrier, stopping at the first node walked before, and count the walked
+    children of every node; the walks cover the carriers' paths to the
+    root, and the subtree is that union less its stem: the nodes passed on
+    the way down from the root before the first carrier or node with two
+    walked children.
     """
-    carriers = [c.id for c in tree.components if c.both_run_cycles >= 1]
-    total = sum(c.both_run_cycles for c in tree.components)
-    if total < 2:
+    comps = tree.components
+    if sum(c.both_run_cycles for c in comps) < 2:
         return tree
-    targets = {("round", c) for c in carriers}
-    keep = _steiner_nodes(_chained_adjacency(tree), targets)
-    new_components = list(tree.components)
-    for kind, ident in keep:
-        if kind == "round" and new_components[ident].kind == BAD:
-            new_components[ident] = replace(new_components[ident], kind=GOOD)
+    m = len(comps)
+    parent = tree.parent_array()
+    walked = bytearray(len(parent))
+    kids = [0] * len(parent)
+    down = [-1] * len(parent)  # the walked child, where there is just one
+    for c in comps:
+        x = c.id
+        if not c.both_run_cycles or walked[x]:
+            continue
+        walked[x] = 1
+        p = parent[x]
+        while p >= 0:
+            kids[p] += 1
+            down[p] = x
+            if walked[p]:
+                break
+            walked[p] = 1
+            x, p = p, parent[p]
+    x = m + tree.root_chain
+    while kids[x] == 1 and not (x < m and comps[x].both_run_cycles):
+        walked[x] = 0
+        x = down[x]
+    new_components = [
+        c._replace(kind=GOOD) if walked[c.id] and c.kind == BAD else c for c in comps
+    ]
     return ChainedTree(new_components, tree.chains, tree.chain_parent, tree.root_chain)
 
 
@@ -274,19 +292,28 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
 # Tagged trees
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     bad: bool
     tags: frozenset[str]
     src: frozenset[int] = frozenset()
 
 
+_SQUARE = TreeNode(False, frozenset(), frozenset())
+
+
 class TaggedTree:
-    """Unrooted tree of bad/good nodes with tag sets, in contracted form."""
+    """Unrooted tree of bad/good nodes with tag sets, in contracted form.
+
+    A tree is never changed once built: its leaves and a rooting (the parent
+    and depth of every node) are computed on first use and kept.
+    """
 
     def __init__(self, nodes: dict[int, TreeNode], adj: dict[int, tuple[int, ...]]):
         self.nodes = nodes
         self.adj = adj
+        self._leaves: list[int] | None = None
+        self._parent: dict[int, int | None] | None = None
+        self._depth: dict[int, int] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -307,9 +334,6 @@ class TaggedTree:
             adj[v].append(u)
         return cls(nodes, {u: tuple(sorted(vs)) for u, vs in adj.items()})
 
-    def copy(self) -> "TaggedTree":
-        return TaggedTree(dict(self.nodes), dict(self.adj))
-
     # -- basic queries -------------------------------------------------------
 
     def __len__(self) -> int:
@@ -326,9 +350,13 @@ class TaggedTree:
         return len(self.adj[u])
 
     def leaves(self) -> list[int]:
-        if len(self.nodes) == 1:
-            return list(self.nodes)
-        return sorted(u for u in self.nodes if self.degree(u) <= 1)
+        if self._leaves is None:
+            if len(self.nodes) == 1:
+                self._leaves = list(self.nodes)
+            else:
+                adj = self.adj
+                self._leaves = sorted(u for u in self.nodes if len(adj[u]) <= 1)
+        return list(self._leaves)
 
     def bad_nodes(self) -> list[int]:
         return sorted(u for u, n in self.nodes.items() if n.bad)
@@ -359,27 +387,54 @@ class TaggedTree:
         cls = self.leaf_classes()
         return (len(cls["A"]), len(cls["B"]), len(cls["C"]), len(cls["AB"]))
 
+    def _rooting(self) -> tuple[dict[int, int | None], dict[int, int]]:
+        """Parent and depth of every node, each connected part rooted at its
+        first node; built by one breadth-first sweep on first use."""
+        if self._parent is None:
+            adj = self.adj
+            parent: dict[int, int | None] = {}
+            depth: dict[int, int] = {}
+            for root in self.nodes:
+                if root in parent:
+                    continue
+                parent[root] = None
+                depth[root] = 0
+                order = [root]
+                for x in order:
+                    d = depth[x] + 1
+                    for y in adj[x]:
+                        if y not in parent:
+                            parent[y] = x
+                            depth[y] = d
+                            order.append(y)
+            self._parent, self._depth = parent, depth
+        return self._parent, self._depth
+
     def path(self, u: int, v: int) -> list[int]:
-        """Unique tree path from u to v, inclusive."""
+        """Unique tree path from u to v, inclusive: both ends climb the
+        rooting to their lowest common ancestor."""
         if u == v:
             return [u]
-        parent = {u: None}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.adj[x]:
-                    if y not in parent:
-                        parent[y] = x
-                        if y == v:
-                            out = [v]
-                            while out[-1] != u:
-                                out.append(parent[out[-1]])
-                            out.reverse()
-                            return out
-                        nxt.append(y)
-            frontier = nxt
-        raise KeyError(f"no path between {u} and {v}")
+        parent, depth = self._rooting()
+        du, dv = depth[u], depth[v]
+        up, down = [u], [v]
+        while du > dv:
+            u = parent[u]
+            up.append(u)
+            du -= 1
+        while dv > du:
+            v = parent[v]
+            down.append(v)
+            dv -= 1
+        while u != v:
+            u, v = parent[u], parent[v]
+            if u is None:
+                raise KeyError(f"no path between {up[0]} and {down[0]}")
+            up.append(u)
+            down.append(v)
+        down.pop()
+        down.reverse()
+        return up + down
 
     def with_swapped_tags(self) -> "TaggedTree":
         swap = {TAG_A: TAG_B, TAG_B: TAG_A}
@@ -387,7 +442,7 @@ class TaggedTree:
             u: TreeNode(n.bad, frozenset(swap[t] for t in n.tags), n.src)
             for u, n in self.nodes.items()
         }
-        return TaggedTree(nodes, dict(self.adj))
+        return TaggedTree(nodes, self.adj)
 
     def validate(self) -> None:
         """Assert the contracted-form invariants."""
@@ -420,79 +475,85 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
     leaves fold their tags into the adjacent bad node.  Returns the new tree
     plus a support map from surviving node ids to the input node ids they
     absorbed (spliced-out clean blocks are dropped).
+
+    One pass is exact: once the blocks are merged every good node has only
+    bad neighbours, and bad nodes are never removed, so splicing or folding
+    one block changes the degree of no other.  A merged block keeps the
+    smallest id of its members.
     """
-    if tree.is_empty:
+    nodes, adj = tree.nodes, tree.adj
+    if not nodes:
         return TaggedTree({}, {}), {}
 
-    rep: dict[int, int] = {}
-    for u in tree.nodes:
-        if u in rep or tree.nodes[u].bad:
+    block_of: dict[int, int] = {}
+    blocks: list[list[int]] = []
+    for u, n in nodes.items():
+        if n.bad or u in block_of:
             continue
+        b = block_of[u] = len(blocks)
         block = [u]
-        seen = {u}
-        queue = [u]
-        while queue:
-            x = queue.pop()
-            for y in tree.adj[x]:
-                if y not in seen and not tree.nodes[y].bad:
-                    seen.add(y)
-                    block.append(y)
-                    queue.append(y)
-        root = min(block)
         for x in block:
-            rep[x] = root
+            for y in adj[x]:
+                if y not in block_of and not nodes[y].bad:
+                    block_of[y] = b
+                    block.append(y)
+        blocks.append(block)
 
-    def rep_of(u: int) -> int:
-        return rep.get(u, u)
+    merged: list[TreeNode] = []
+    kept: dict[int, tuple[int, tuple[int, ...]]] = {}  # block -> its id, bad neighbours
+    gained: dict[int, list[int]] = {}  # bad node -> neighbours in place of good ones
+    folded: dict[int, list[int]] = {}  # bad node -> blocks folded into it
+    for b, block in enumerate(blocks):
+        if len(block) == 1:
+            node = nodes[block[0]]
+            bads = adj[block[0]]
+        else:
+            node = TreeNode(
+                False,
+                frozenset().union(*[nodes[x].tags for x in block]),
+                frozenset().union(*[nodes[x].src for x in block]),
+            )
+            bads = [y for x in block for y in adj[x] if y not in block_of]
+        merged.append(node)
+        if len(bads) == 2 and not node.tags:
+            b1, b2 = bads
+            gained.setdefault(b1, []).append(b2)
+            gained.setdefault(b2, []).append(b1)
+        elif len(bads) == 1:
+            folded.setdefault(bads[0], []).append(b)
+        elif bads:
+            root = min(block)
+            kept[b] = root, tuple(sorted(bads))
+            for y in bads:
+                gained.setdefault(y, []).append(root)
 
-    nodes: dict[int, TreeNode] = {}
-    support: dict[int, set[int]] = {}
-    adj: dict[int, set[int]] = {}
-    for u, n in tree.nodes.items():
-        r = rep_of(u)
-        if r not in nodes:
-            nodes[r] = TreeNode(n.bad, frozenset(), frozenset())
-            support[r] = set()
-            adj[r] = set()
-        support[r].add(u)
-        nodes[r] = TreeNode(nodes[r].bad, nodes[r].tags | n.tags, nodes[r].src | n.src)
-    for u, vs in tree.adj.items():
-        for v in vs:
-            ru, rv = rep_of(u), rep_of(v)
-            if ru != rv:
-                adj[ru].add(rv)
-                adj[rv].add(ru)
-
-    changed = True
-    while changed:
-        changed = False
-        for u in list(nodes):
-            if u not in nodes or nodes[u].bad:
-                continue
-            deg = len(adj[u])
-            if not nodes[u].tags and deg == 2:
-                b1, b2 = sorted(adj[u])
-                adj[b1].discard(u)
-                adj[b2].discard(u)
-                adj[b1].add(b2)
-                adj[b2].add(b1)
-                del nodes[u], adj[u], support[u]
-                changed = True
-            elif deg == 1:
-                (b,) = adj[u]
-                nodes[b] = TreeNode(
-                    nodes[b].bad, nodes[b].tags | nodes[u].tags, nodes[b].src | nodes[u].src
+    out: dict[int, TreeNode] = {}
+    out_adj: dict[int, tuple[int, ...]] = {}
+    support: dict[int, frozenset[int]] = {}
+    for u, n in nodes.items():
+        if n.bad:
+            nbrs = [v for v in adj[u] if v not in block_of]
+            nbrs += gained.get(u, ())
+            into = folded.get(u)
+            if into:
+                n = TreeNode(
+                    True,
+                    n.tags.union(*[merged[b].tags for b in into]),
+                    n.src.union(*[merged[b].src for b in into]),
                 )
-                support[b] |= support[u]
-                adj[b].discard(u)
-                del nodes[u], adj[u], support[u]
-                changed = True
-            elif deg == 0:
-                del nodes[u], adj[u], support[u]
-                changed = True
-
-    out = TaggedTree(nodes, {u: tuple(sorted(vs)) for u, vs in adj.items()})
-    return out, {u: frozenset(s) for u, s in support.items()}
+                support[u] = frozenset([u, *(x for b in into for x in blocks[b])])
+            else:
+                support[u] = frozenset((u,))
+            out[u] = n
+            out_adj[u] = tuple(sorted(nbrs))
+            continue
+        b = block_of[u]
+        if b in kept and blocks[b][0] == u:
+            root, nbrs = kept[b]
+            out[root] = merged[b]
+            out_adj[root] = nbrs
+            support[root] = frozenset(blocks[b])
+    return TaggedTree(out, out_adj), support
 
 
 def reduce_by_paths(
@@ -500,38 +561,29 @@ def reduce_by_paths(
 ) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
     """Simultaneous path reduction: every bad node on the given paths turns
     good (tags kept), then the tree is re-contracted."""
-    marked: set[int] = set()
+    nodes = dict(tree.nodes)
     for u, v in pairs:
-        marked.update(n for n in tree.path(u, v) if tree.nodes[n].bad)
-    nodes = {
-        u: (TreeNode(False, n.tags, n.src) if u in marked else n)
-        for u, n in tree.nodes.items()
-    }
-    return contract(TaggedTree(nodes, dict(tree.adj)))
+        for x in tree.path(u, v):
+            n = nodes[x]
+            if n.bad:
+                nodes[x] = TreeNode(False, n.tags, n.src)
+    return contract(TaggedTree(nodes, tree.adj))
 
 
 def flower_contract(tree: ChainedTree) -> TaggedTree:
-    """Contract the chained tree into the unrooted tagged component tree."""
-    specs: dict[int, TreeNode] = {}
-    adj: dict[int, list[int]] = {}
-    m = len(tree.components)
-    for comp in tree.components:
-        specs[comp.id] = TreeNode(comp.kind == BAD, comp.tags, frozenset({comp.id}))
-        adj[comp.id] = []
-    for ci, chain in enumerate(tree.chains):
-        sq = m + ci
-        specs[sq] = TreeNode(False, frozenset(), frozenset())
-        adj[sq] = []
-        for comp_id in chain:
-            adj[sq].append(comp_id)
-            adj[comp_id].append(sq)
-        parent = tree.chain_parent[ci]
-        if parent is not None:
-            adj[sq].append(parent)
-            adj[parent].append(sq)
-    raw = TaggedTree(specs, {u: tuple(sorted(vs)) for u, vs in adj.items()})
-    contracted, _ = contract(raw)
-    return contracted
+    """Contract the chained tree, its squares taken as clean good nodes,
+    into the unrooted tagged component tree."""
+    parent = tree.parent_array()
+    nbrs: list[list[int]] = [[] for _ in parent]
+    for x, p in enumerate(parent):
+        if p >= 0:
+            nbrs[x].append(p)
+            nbrs[p].append(x)
+    nodes = {c.id: TreeNode(c.kind == BAD, c.tags, frozenset((c.id,))) for c in tree.components}
+    for sq in range(len(tree.components), len(parent)):
+        nodes[sq] = _SQUARE
+    raw = TaggedTree(nodes, {x: tuple(sorted(vs)) for x, vs in enumerate(nbrs)})
+    return contract(raw)[0]
 
 
 def tagged_tree_for_pair(pair: GenomePair, anchor: str | None = None):

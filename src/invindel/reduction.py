@@ -162,7 +162,7 @@ def essential_leaf(tree: TaggedTree, leaves: list[int]) -> int:
 class _Reducer:
     def __init__(self, base: TaggedTree):
         self.base = base  # lifting target; tags view follows the A/B swap
-        self.work = base.copy()
+        self.work = base
         self.support = {u: frozenset({u}) for u in base.nodes}
         self.steps: list[ReductionStep] = []
         self.swapped = False

@@ -208,15 +208,9 @@ def _traversal_cover(tree: TaggedTree) -> Cover:
 
 
 def _pruned_without_branch(tree: TaggedTree, leaf: int) -> TaggedTree:
-    pruned = tree.copy()
-    for u in leaf_branch(tree, leaf):
-        pruned.nodes.pop(u)
     gone = set(leaf_branch(tree, leaf))
-    adj = {}
-    for u in pruned.nodes:
-        adj[u] = tuple(v for v in tree.adj[u] if v not in gone)
-    pruned.adj = adj
-    return pruned
+    nodes = {u: n for u, n in tree.nodes.items() if u not in gone}
+    return TaggedTree(nodes, {u: tuple(v for v in tree.adj[u] if v not in gone) for u in nodes})
 
 
 def tau_shared_tag(tree: TaggedTree) -> tuple[int, Cover]:
