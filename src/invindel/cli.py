@@ -21,6 +21,7 @@ from .genome import (
     Chromosome,
     GenomePair,
     cap_linear_pair,
+    check_distinct,
     partition_names,
     read_pair_file,
     read_pair_text,
@@ -126,6 +127,7 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
             "compute_distance takes circular chromosomes; "
             "use distance_report for linear ones"
         )
+    check_distinct(pair.a, pair.b)
     if len(pair.common) <= 1:
         return _trivial_report(pair.common, pair.a_only, pair.b_only)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
@@ -252,8 +254,8 @@ def _emit_traces(args, rep: DistanceReport) -> None:
 def _cmd_dist(args) -> int:
     a, b = read_pair_file(args.file)
     if args.linear:
-        a = Chromosome(a.markers, LINEAR)
-        b = Chromosome(b.markers, LINEAR)
+        a = Chromosome.from_columns(a.order, a.forward, LINEAR)
+        b = Chromosome.from_columns(b.order, b.forward, LINEAR)
     rep = distance_report(a, b, args.anchor)
     if args.trace:
         if a.shape != CIRCULAR:
@@ -355,15 +357,20 @@ def _cmd_bench(args) -> int:
     prev = None
     for n in sizes:
         times = []
+        parse_times = []
         for _ in range(args.repeats):
             pair = random_genome_pair(rng, n, max(1, n // 100), max(1, n // 100))
             text = f"{pair.a.text()}\n{pair.b.text()}\n"
             t0 = time.perf_counter()
-            distance_report(*read_pair_text(text))
+            chromosomes = read_pair_text(text)
+            t1 = time.perf_counter()
+            distance_report(*chromosomes)
             times.append(time.perf_counter() - t0)
+            parse_times.append(t1 - t0)
         med = statistics.median(times)
+        parse = statistics.median(parse_times)
         ratio = "" if prev is None else f"  ratio {med / prev:.2f}"
-        print(f"n={n}: median {med * 1000:.1f} ms{ratio}")
+        print(f"n={n}: median {med * 1000:.1f} ms (parse {parse * 1000:.1f} ms){ratio}")
         prev = med
     return 0
 

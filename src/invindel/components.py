@@ -387,7 +387,7 @@ class TaggedTree:
         cls = self.leaf_classes()
         return (len(cls["A"]), len(cls["B"]), len(cls["C"]), len(cls["AB"]))
 
-    def _rooting(self) -> tuple[dict[int, int | None], dict[int, int]]:
+    def rooting(self) -> tuple[dict[int, int | None], dict[int, int]]:
         """Parent and depth of every node, each connected part rooted at its
         first node; built by one breadth-first sweep on first use."""
         if self._parent is None:
@@ -415,7 +415,7 @@ class TaggedTree:
         rooting to their lowest common ancestor."""
         if u == v:
             return [u]
-        parent, depth = self._rooting()
+        parent, depth = self.rooting()
         du, dv = depth[u], depth[v]
         up, down = [u], [v]
         while du > dv:

@@ -18,6 +18,8 @@ extremity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import not_, sub, xor
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
 from .genome import Chromosome, GenomePair
@@ -138,22 +140,15 @@ def _line(ch: Chromosome, common: frozenset[str], anchor: str):
     anchor is stored reversed, the line reads the stored order backwards
     with every orientation flipped, and the flip is left to the caller.
     """
-    names: list[str] = []
-    forward: list[bool] = []
-    gaps = bytearray()
-    lead = pending = 0
-    for m in ch.markers:
-        if m.name in common:
-            if names:
-                gaps.append(pending)
-            else:
-                lead = pending
-            names.append(m.name)
-            forward.append(m.forward)
-            pending = 0
-        else:
-            pending = 1
-    gaps.append(pending | lead)  # from the last common marker round to the first
+    n = len(ch)
+    keep = list(map(common.__contains__, ch.order))
+    names = list(compress(ch.order, keep))
+    forward = list(compress(ch.forward, keep))
+    # Gap k follows kept place k; exclusive markers lie in it when the next
+    # kept place, round the circle, is more than one step on.
+    places = list(compress(range(n), keep))
+    places.append(places[0] + n)
+    gaps = bytearray(map((1).__lt__, map(sub, places[1:], places)))
     i = names.index(anchor)
     if forward[i]:
         return names[i:] + names[:i], forward[i:] + forward[:i], gaps[i:] + gaps[:i], True
@@ -200,12 +195,12 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
     # when both lines hold it in the same orientation.  Orientations are as
     # stored, so a line read backwards flips all of its markers at once.
     flip = a_as_stored != b_as_stored
-    first_end = {
-        name: 2 * k + (fwd ^ flip) for k, (name, fwd) in enumerate(zip(a_names, a_forward))
-    }
-    firsts = [first_end[name] ^ fwd for name, fwd in zip(b_names, b_forward)]
+    first_end = dict(zip(a_names, map(xor, range(0, n2, 2), a_forward)))
+    if flip:
+        b_forward = map(not_, b_forward)
+    firsts = list(map(xor, map(first_end.__getitem__, b_names), b_forward))
     lower_seq = [0] * n2
-    lower_seq[0::2] = [x ^ 1 for x in firsts]
+    lower_seq[0::2] = map(xor, firsts, repeat(1))
     lower_seq[1::2] = firsts[1:] + firsts[:1]
     lower_at = [0] * n2
     for p, x in enumerate(lower_seq):

@@ -7,8 +7,10 @@ marker names into the common set and the two exclusive sets.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
+from operator import not_
 from typing import NamedTuple
 
 from .errors import (
@@ -51,30 +53,105 @@ class Marker(NamedTuple):
 
 
 # Builds a marker from a (name, forward) tuple without the Python-level
-# ``Marker.__new__`` wrapper around this same call, for the parser.
+# ``Marker.__new__`` wrapper around this same call.
 _new_marker = tuple.__new__
 
 
-@dataclass(frozen=True)
 class Chromosome:
-    markers: tuple[Marker, ...]
-    shape: str = CIRCULAR
+    """A chromosome stored as columns.
+
+    ``order`` holds the marker names in reading order, ``forward`` their
+    orientations and ``shape`` is ``CIRCULAR`` or ``LINEAR``; ``names()`` is
+    the set of ``order``, built once with the chromosome.  ``markers`` is
+    built from the columns on each use.  Equality and hashing go by the
+    markers and the shape.  A chromosome is never changed once built.
+    """
+
+    __slots__ = ("order", "forward", "shape", "_names")
+
+    order: tuple[str, ...]
+    forward: tuple[bool, ...]
+    shape: str
+    _names: frozenset[str]
+
+    def __init__(self, markers: Iterable[Marker], shape: str = CIRCULAR) -> None:
+        markers = tuple(markers)
+        order = tuple(m.name for m in markers)
+        _fill(self, order, tuple(m.forward for m in markers), shape, frozenset(order))
+
+    @classmethod
+    def from_columns(
+        cls, order: Iterable[str], forward: Iterable[bool], shape: str = CIRCULAR
+    ) -> "Chromosome":
+        order = tuple(order)
+        return _columns(order, tuple(forward), shape, frozenset(order))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Chromosome is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _columns, (self.order, self.forward, self.shape, self._names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Chromosome:
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.forward == other.forward
+            and self.shape == other.shape
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.forward, self.shape))
+
+    def __repr__(self) -> str:
+        return f"Chromosome(markers={self.markers!r}, shape={self.shape!r})"
 
     def __len__(self) -> int:
-        return len(self.markers)
+        return len(self.order)
+
+    @property
+    def markers(self) -> tuple[Marker, ...]:
+        return tuple(map(_new_marker, repeat(Marker), zip(self.order, self.forward)))
 
     def names(self) -> frozenset[str]:
-        return frozenset(m.name for m in self.markers)
+        return self._names
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(m.token() for m in self.markers)
+        return tuple(
+            name if fwd else SIGN_PREFIX + name for name, fwd in zip(self.order, self.forward)
+        )
 
     def text(self) -> str:
         return " ".join(self.tokens())
 
     def reversed_flipped(self) -> "Chromosome":
         """The same chromosome read in the opposite direction."""
-        return Chromosome(tuple(m.flipped() for m in reversed(self.markers)), self.shape)
+        return _columns(
+            self.order[::-1], tuple(map(not_, reversed(self.forward))), self.shape, self._names
+        )
+
+
+def _fill(
+    ch: Chromosome,
+    order: tuple[str, ...],
+    forward: tuple[bool, ...],
+    shape: str,
+    names: frozenset[str],
+) -> Chromosome:
+    setattr_ = object.__setattr__
+    setattr_(ch, "order", order)
+    setattr_(ch, "forward", forward)
+    setattr_(ch, "shape", shape)
+    setattr_(ch, "_names", names)
+    return ch
+
+
+def _columns(
+    order: tuple[str, ...], forward: tuple[bool, ...], shape: str, names: frozenset[str]
+) -> Chromosome:
+    """A chromosome over columns whose name set the caller already holds."""
+    return _fill(object.__new__(Chromosome), order, forward, shape, names)
 
 
 def parse_chromosome(text: str, shape: str = CIRCULAR) -> Chromosome:
@@ -82,20 +159,21 @@ def parse_chromosome(text: str, shape: str = CIRCULAR) -> Chromosome:
     tokens = text.split()
     if not tokens:
         raise EmptyInput("chromosome line holds no markers")
-    names = [tok[1:] if tok[0] == SIGN_PREFIX else tok for tok in tokens]
+    order = tuple(map(str.removeprefix, tokens, repeat(SIGN_PREFIX)))
+    names = frozenset(order)
     # A name is bad when empty, still signed or repeated; only a doubled
     # sign in the text can leave a name signed.
     if (
         "" in names
-        or len(set(names)) < len(names)
-        or (2 * SIGN_PREFIX in text and any(n[0] == SIGN_PREFIX for n in names))
+        or len(names) < len(order)
+        or (2 * SIGN_PREFIX in text and any(n[0] == SIGN_PREFIX for n in order))
     ):
-        _raise_first_bad_name(names)
-    forward = [tok[0] != SIGN_PREFIX for tok in tokens]
-    return Chromosome(tuple(map(_new_marker, repeat(Marker), zip(names, forward))), shape)
+        _raise_first_bad_name(order)
+    forward = tuple([tok[0] != SIGN_PREFIX for tok in tokens])
+    return _columns(order, forward, shape, names)
 
 
-def _raise_first_bad_name(names: list[str]) -> None:
+def _raise_first_bad_name(names: tuple[str, ...]) -> None:
     """Raise the error of the first bad name in reading order."""
     seen: set[str] = set()
     for name in names:
@@ -104,6 +182,19 @@ def _raise_first_bad_name(names: list[str]) -> None:
         if name in seen:
             raise DuplicateMarker(name)
         seen.add(name)
+
+
+def check_distinct(*chromosomes: Chromosome) -> None:
+    """Raise DuplicateMarker, naming the first repeated name in reading
+    order, when a chromosome holds a name twice.  The name set answers in
+    constant time when none does."""
+    for ch in chromosomes:
+        if len(ch.names()) < len(ch):
+            seen: set[str] = set()
+            for name in ch.order:
+                if name in seen:
+                    raise DuplicateMarker(name)
+                seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -120,7 +211,11 @@ class GenomePair:
 def partition_names(
     a: Chromosome, b: Chromosome
 ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """The common, a-only and b-only marker names."""
+    """The common, a-only and b-only marker names.
+
+    Raises DuplicateMarker when either chromosome holds a name twice.
+    """
+    check_distinct(a, b)
     na, nb = a.names(), b.names()
     common = na & nb
     return common, na - common, nb - common
@@ -158,21 +253,16 @@ def cap_linear_pair(pair: GenomePair) -> list[GenomePair]:
     """
     if pair.a.shape != LINEAR or pair.b.shape != LINEAR:
         raise NotLinear("both chromosomes must be linear")
-    cap = Marker(_fresh_cap_name(pair))
-    a_capped = Chromosome(pair.a.markers + (cap,), CIRCULAR)
-    b_fwd = Chromosome(pair.b.markers + (cap,), CIRCULAR)
-    b_rev = Chromosome(pair.b.reversed_flipped().markers + (cap,), CIRCULAR)
+    cap = _fresh_cap_name(pair)
+    a, b = pair.a, pair.b
+    b_rev = b.reversed_flipped()
+    a_capped = _columns(a.order + (cap,), a.forward + (True,), CIRCULAR, a.names() | {cap})
+    b_names = b.names() | {cap}
+    common = pair.common | {cap}
     out = []
-    for b_capped in (b_fwd, b_rev):
-        out.append(
-            GenomePair(
-                a_capped,
-                b_capped,
-                pair.common | {cap.name},
-                pair.a_only,
-                pair.b_only,
-            )
-        )
+    for order, forward in ((b.order, b.forward), (b_rev.order, b_rev.forward)):
+        b_capped = _columns(order + (cap,), forward + (True,), CIRCULAR, b_names)
+        out.append(GenomePair(a_capped, b_capped, common, pair.a_only, pair.b_only))
     return out
 
 
@@ -183,7 +273,7 @@ def read_pair_text(text: str) -> tuple[Chromosome, Chromosome]:
     (circular by default); the next two non-empty lines hold one chromosome
     each.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     shape = CIRCULAR
     if lines and lines[0].startswith(">"):
         header = lines.pop(0)[1:].strip().lower()

@@ -115,22 +115,39 @@ def cover_tree_with_traversals(tree: TaggedTree, leaves: list[int] | None = None
 
 
 def induced_subtree(tree: TaggedTree, nodes: list[int]) -> frozenset[int]:
-    """Smallest connected subtree containing the given nodes."""
-    if not nodes:
-        return frozenset()
-    target = set(nodes)
-    alive: dict[int, set[int]] = {u: set(tree.adj[u]) for u in tree.nodes}
-    leaves = [u for u in alive if len(alive[u]) <= 1 and u not in target]
-    while leaves:
-        u = leaves.pop()
-        if u not in alive or u in target or len(alive[u]) > 1:
+    """Smallest connected subtree containing the given nodes.
+
+    Walks up the tree's rooting from each node, stopping at the first node
+    walked before, and counts the walked children of every node; the walks
+    cover the nodes' paths to the root, and the subtree is that union less
+    its stem: the nodes passed on the way down from the root before the
+    first given node or node with two walked children.
+    """
+    parent = tree.rooting()[0]
+    walked: set[int] = set()
+    kids: dict[int, int] = {}
+    down: dict[int, int] = {}  # the walked child, where there is just one
+    roots = []
+    for x in nodes:
+        if x in walked:
             continue
-        for v in alive[u]:
-            alive[v].discard(u)
-            if len(alive[v]) <= 1 and v not in target:
-                leaves.append(v)
-        del alive[u]
-    return frozenset(alive)
+        walked.add(x)
+        p = parent[x]
+        while p is not None:
+            kids[p] = kids.get(p, 0) + 1
+            down[p] = x
+            if p in walked:
+                break
+            walked.add(p)
+            x, p = p, parent[p]
+        else:
+            roots.append(x)
+    targets = set(nodes)
+    for x in roots:
+        while kids.get(x) == 1 and x not in targets:
+            walked.remove(x)
+            x = down[x]
+    return frozenset(walked)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +324,13 @@ def lift_paths(
 def compose_support(
     outer: dict[int, frozenset[int]], inner: dict[int, frozenset[int]]
 ) -> dict[int, frozenset[int]]:
-    """Chain two support maps (outer: new -> mid, inner: mid -> old)."""
+    """Chain two support maps (outer: new -> mid, inner: mid -> old).
+
+    A node that absorbed a single mid node shares that node's set.
+    """
+    get = inner.__getitem__
     return {
-        n: frozenset().union(*(inner[m] for m in mids)) if mids else frozenset()
+        n: get(*mids) if len(mids) == 1 else frozenset().union(*map(get, mids))
         for n, mids in outer.items()
     }
 

@@ -2,7 +2,8 @@
 
 These are the straightforward constructions: components grouped and then
 sorted by their leftmost upper edge, the Steiner subtree of the merge
-carriers found by pruning leaves until none is left to prune, contraction
+carriers and the subtree spanning a set of tree nodes found by pruning
+leaves until none is left to prune, contraction
 run as a fixpoint loop over merged good blocks, and tree paths found by
 breadth-first search.  They rebuild every node they touch, which makes
 them quadratic on large trees, and simple enough to trust.  The
@@ -238,6 +239,26 @@ def path(tree: TaggedTree, u: int, v: int) -> list[int]:
                     nxt.append(y)
         frontier = nxt
     raise KeyError(f"no path between {u} and {v}")
+
+
+def induced_subtree(tree: TaggedTree, nodes: list[int]) -> frozenset[int]:
+    """Smallest connected subtree containing the given nodes, by pruning
+    every other leaf until none is left to prune."""
+    if not nodes:
+        return frozenset()
+    target = set(nodes)
+    alive: dict[int, set[int]] = {u: set(tree.adj[u]) for u in tree.nodes}
+    leaves = [u for u in alive if len(alive[u]) <= 1 and u not in target]
+    while leaves:
+        u = leaves.pop()
+        if u not in alive or u in target or len(alive[u]) > 1:
+            continue
+        for v in alive[u]:
+            alive[v].discard(u)
+            if len(alive[v]) <= 1 and v not in target:
+                leaves.append(v)
+        del alive[u]
+    return frozenset(alive)
 
 
 def leaves(tree: TaggedTree) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -209,6 +210,9 @@ def test_cli_bench_smoke(capsys):
     assert main(["bench", "--sizes", "40,80", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
     assert "n=40" in out and "n=80" in out
+    # each size's median total and median parse time, from the same loop
+    assert re.search(r"^n=40: median \d+\.\d ms \(parse \d+\.\d ms\)$", out, re.M)
+    assert re.search(r"^n=80: median \d+\.\d ms \(parse \d+\.\d ms\)  ratio \d", out, re.M)
 
 
 def test_parser_rejects_unknown_trace():

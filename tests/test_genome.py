@@ -194,3 +194,102 @@ def test_marker_is_a_frozen_record():
     with pytest.raises(AttributeError):
         m.name = "b"
     assert m.flipped() == Marker("a") and m.token() == "-a"
+
+
+def test_duplicate_names_rejected_at_every_entry_point():
+    # chromosomes built from markers skip the parser's duplicate check
+    from invindel.cli import compute_distance, distance_report
+    from invindel.genome import GenomePair
+
+    a, b, c, x = Marker("a"), Marker("b"), Marker("c"), Marker("x")
+    inputs = [
+        (Chromosome((a, x, b, x)), Chromosome((a, b)), "x"),
+        (Chromosome((a, b, c, Marker("b", False))), Chromosome((a, c, b)), "b"),
+        (Chromosome((a, c, b)), Chromosome((a, b, c, Marker("b", False))), "b"),
+        (Chromosome((a, x, x)), Chromosome((a, Marker("y"))), "x"),  # trivial regime
+    ]
+    for ch_a, ch_b, name in inputs:
+        with pytest.raises(DuplicateMarker, match=f"^{name}$"):
+            distance_report(ch_a, ch_b)
+        with pytest.raises(DuplicateMarker, match=f"^{name}$"):
+            classify_markers(ch_a, ch_b)
+        pair = GenomePair(ch_a, ch_b, ch_a.names() & ch_b.names(), frozenset(), frozenset())
+        with pytest.raises(DuplicateMarker, match=f"^{name}$"):
+            compute_distance(pair)
+    linear = [Chromosome(ch.markers, LINEAR) for ch in inputs[1][:2]]
+    with pytest.raises(DuplicateMarker, match="^b$"):
+        distance_report(*linear)
+
+
+def _random_chromosome(rng: random.Random) -> Chromosome:
+    n = rng.randint(0, 12)
+    names = rng.sample([f"m{i}" for i in range(20)] + ["a--b", "x-"], n)
+    shape = rng.choice([CIRCULAR, LINEAR])
+    return Chromosome(tuple(Marker(nm, rng.random() < 0.5) for nm in names), shape)
+
+
+def test_columns_rebuild_the_parsed_chromosome():
+    for text in ["a", "a -c b", "x a--b -c -d e", "-a -b -c"]:
+        for shape in (CIRCULAR, LINEAR):
+            parsed = parse_chromosome(text, shape)
+            rebuilt = Chromosome(parsed.markers, shape)
+            assert rebuilt == parsed and hash(rebuilt) == hash(parsed)
+            assert Chromosome.from_columns(parsed.order, parsed.forward, shape) == parsed
+            assert parsed != Chromosome(parsed.markers, LINEAR if shape == CIRCULAR else CIRCULAR)
+    assert parse_chromosome("a b") != parse_chromosome("a -b")
+    assert parse_chromosome("a b") != (Marker("a"), Marker("b"))
+
+
+def test_column_queries_match_marker_definitions():
+    rng = random.Random(11)
+    for _ in range(300):
+        ch = _random_chromosome(rng)
+        markers = ch.markers
+        assert ch.order == tuple(m.name for m in markers)
+        assert ch.forward == tuple(m.forward for m in markers)
+        assert ch.names() == frozenset(m.name for m in markers)
+        assert ch.tokens() == tuple(m.token() for m in markers)
+        assert ch.text() == " ".join(m.token() for m in markers)
+        assert len(ch) == len(markers)
+        flipped = ch.reversed_flipped()
+        assert flipped.markers == tuple(m.flipped() for m in reversed(markers))
+        assert flipped.shape == ch.shape and flipped.names() == ch.names()
+        assert flipped.reversed_flipped() == ch
+        if markers:
+            assert parse_chromosome(ch.text(), ch.shape) == ch
+
+
+def test_chromosome_is_immutable():
+    import copy
+    import pickle
+
+    ch = parse_chromosome("a -b")
+    for twin in (copy.copy(ch), copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
+        assert twin == ch and twin.names() == ch.names()
+    with pytest.raises(AttributeError):
+        ch.shape = LINEAR
+    with pytest.raises(AttributeError):
+        ch.order = ("b", "a")
+    assert repr(ch) == (
+        "Chromosome(markers=(Marker(name='a', forward=True), "
+        "Marker(name='b', forward=False)), shape='circular')"
+    )
+
+
+def test_pipeline_reads_only_the_columns(monkeypatch, tmp_path):
+    from invindel.cli import distance_report, main
+
+    def no_markers(self):
+        raise AssertionError("Chromosome.markers read by the pipeline")
+
+    texts = [
+        "a t j b d f e g -c h i u k v o n l m\na w b c d e f g h x i j y k l z m n o\n",
+        ">linear\na -c x b d\nd y c -b a e\n",
+        ">linear\na x\na y\n",
+    ]
+    monkeypatch.setattr(Chromosome, "markers", property(no_markers))
+    for text in texts:
+        assert distance_report(*read_pair_text(text)).distance >= 0
+    path = tmp_path / "pair.txt"
+    path.write_text(texts[0], encoding="utf-8")
+    assert main(["dist", str(path), "--linear", "--json"]) == 0

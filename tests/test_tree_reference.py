@@ -1,8 +1,9 @@
 """The linear tree layer against the reference one in ``reference_tree.py``.
 
-Contraction, the merge marking, component finding and tree paths must give
-the same trees as the straightforward constructions: the same node ids,
-tags, ``src`` sets, sorted adjacency and support maps, in the same order.
+Contraction, the merge marking, component finding, tree paths and the
+subtree spanning a set of nodes must give the same trees as the
+straightforward constructions: the same node ids, tags, ``src`` sets,
+sorted adjacency and support maps, in the same order.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from invindel.components import (
 from invindel.diagram import build_relational_diagram
 from invindel.genome import classify_markers, parse_chromosome
 from invindel.oracle import random_genome_pair, random_tagged_tree
+from invindel.treecover import induced_subtree
 
 
 def _snapshot(tree: TaggedTree, support=None):
@@ -164,6 +166,27 @@ def test_path_across_a_forest_raises():
             forest.path(u, v)
         with pytest.raises(KeyError):
             reference_tree.path(forest, u, v)
+
+
+def test_induced_subtree_matches_pruning_reference():
+    rng = random.Random(75)
+    for tree in _path_trees(rng):
+        ids = list(tree.nodes)
+        for _ in range(6):
+            nodes = rng.sample(ids, rng.randint(0, min(len(ids), 5)))
+            assert induced_subtree(tree, nodes) == reference_tree.induced_subtree(tree, nodes)
+        assert induced_subtree(tree, ids) == frozenset(ids)
+
+
+def test_induced_subtree_on_a_forest():
+    # each part keeps the subtree spanning its own nodes; a part holding
+    # none of them is dropped
+    forest = TaggedTree.from_spec(
+        {u: "b" for u in range(8)}, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]
+    )
+    for nodes in ([1, 3], [3, 1, 5], [0, 6, 4], [7], [2, 7, 4]):
+        assert induced_subtree(forest, nodes) == reference_tree.induced_subtree(forest, nodes)
+    assert induced_subtree(forest, [3, 1, 5]) == {1, 2, 3, 5}
 
 
 def test_cached_queries_match_fresh_ones_after_reduction():
