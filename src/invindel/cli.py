@@ -28,6 +28,7 @@ from .genome import (
 )
 from .oracle import (
     OracleBudget,
+    anchor_invariance_check,
     brute_force_distance,
     brute_force_tau,
     random_genome_pair,
@@ -340,10 +341,7 @@ def _cmd_verify(args) -> int:
     anchor_trials = max(1, trials // 20)
     for _ in range(anchor_trials):
         pair = random_genome_pair(rng, rng.randint(2, 6), rng.randint(0, 2), rng.randint(0, 2))
-        values = {
-            compute_distance(pair, anchor=g).distance for g in sorted(pair.common)
-        }
-        ok += len(values) == 1
+        ok += len(set(anchor_invariance_check(pair).values())) == 1
     print(f"anchor invariance: {ok}/{anchor_trials} agree")
     failures += anchor_trials - ok
 
@@ -353,9 +351,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     rng = random.Random(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",")]
     prev = None
-    for n in sizes:
+    for n in args.sizes:
         times = []
         parse_times = []
         for _ in range(args.repeats):
@@ -373,6 +370,20 @@ def _cmd_bench(args) -> int:
         print(f"n={n}: median {med * 1000:.1f} ms (parse {parse * 1000:.1f} ms){ratio}")
         prev = med
     return 0
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_list(text: str) -> list[int]:
+    return [_positive(s) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.set_defaults(func=_cmd_dist)
 
     p_verify = sub.add_parser("verify", help="run the randomized oracle-equivalence suites")
-    p_verify.add_argument("--trials", type=int, default=200)
+    p_verify.add_argument("--trials", type=_positive, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser(
         "bench", help="time parsing and the pipeline on random genome texts"
     )
-    p_bench.add_argument("--sizes", default="1000,2000,4000,8000")
-    p_bench.add_argument("--repeats", type=int, default=3)
+    p_bench.add_argument("--sizes", type=_positive_list, default=[1000, 2000, 4000, 8000])
+    p_bench.add_argument("--repeats", type=_positive, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -177,20 +177,16 @@ class ChainedTree:
     chain_parent: list[int | None]  # nesting component id per chain
     root_chain: int
 
-    def parent_array(self) -> list[int]:
-        """The parent of every node, -1 at the root.  Component ``c`` is node
+    def parent_array(self) -> list[int | None]:
+        """The parent of every node, None at the root.  Component ``c`` is node
         ``c`` and chain ``i`` is node ``len(components) + i``; a component's
         parent is its chain, a chain's is the component it nests in."""
         m = len(self.components)
-        parent = [-1] * (m + len(self.chains))
+        parent: list[int | None] = [None] * m
         for ci, chain in enumerate(self.chains):
-            sq = m + ci
             for c in chain:
-                parent[c] = sq
-            nest = self.chain_parent[ci]
-            if nest is not None:
-                parent[sq] = nest
-        return parent
+                parent[c] = m + ci
+        return parent + self.chain_parent
 
 
 def build_chained_tree(components: list[Component], diagram: RelationalDiagram) -> ChainedTree:
@@ -241,6 +237,42 @@ def build_chained_tree(components: list[Component], diagram: RelationalDiagram) 
     return ChainedTree(components, chains, chain_parent, roots[0])
 
 
+def spanning_subtree(parent, nodes: list[int]) -> frozenset[int]:
+    """Smallest subtree of a rooted forest containing the given nodes;
+    ``parent[x]`` is the parent of node ``x``, None at a root.
+
+    Walks up from each node, stopping at the first node walked before, and
+    counts the walked children of every node; the walks cover the nodes'
+    paths to their roots, and the subtree is that union less its stem: the
+    nodes passed on the way down from the root before the first given node
+    or node with two walked children.
+    """
+    walked: set[int] = set()
+    kids: dict[int, int] = {}
+    down: dict[int, int] = {}  # the walked child, where there is just one
+    roots = []
+    for x in nodes:
+        if x in walked:
+            continue
+        walked.add(x)
+        p = parent[x]
+        while p is not None:
+            kids[p] = kids.get(p, 0) + 1
+            down[p] = x
+            if p in walked:
+                break
+            walked.add(p)
+            x, p = p, parent[p]
+        else:
+            roots.append(x)
+    targets = set(nodes)
+    for x in roots:
+        while kids.get(x) == 1 and x not in targets:
+            walked.remove(x)
+            x = down[x]
+    return frozenset(walked)
+
+
 def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     """Simulate the costless joint inversions between both-run cycles.
 
@@ -249,41 +281,13 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     them, into one good component at no extra cost.  Modelled by turning
     every round node on the spanning subtree of the carriers good before
     contraction.
-
-    The spanning subtree is found over the parent array: walk up from each
-    carrier, stopping at the first node walked before, and count the walked
-    children of every node; the walks cover the carriers' paths to the
-    root, and the subtree is that union less its stem: the nodes passed on
-    the way down from the root before the first carrier or node with two
-    walked children.
     """
     comps = tree.components
     if sum(c.both_run_cycles for c in comps) < 2:
         return tree
-    m = len(comps)
-    parent = tree.parent_array()
-    walked = bytearray(len(parent))
-    kids = [0] * len(parent)
-    down = [-1] * len(parent)  # the walked child, where there is just one
-    for c in comps:
-        x = c.id
-        if not c.both_run_cycles or walked[x]:
-            continue
-        walked[x] = 1
-        p = parent[x]
-        while p >= 0:
-            kids[p] += 1
-            down[p] = x
-            if walked[p]:
-                break
-            walked[p] = 1
-            x, p = p, parent[p]
-    x = m + tree.root_chain
-    while kids[x] == 1 and not (x < m and comps[x].both_run_cycles):
-        walked[x] = 0
-        x = down[x]
+    span = spanning_subtree(tree.parent_array(), [c.id for c in comps if c.both_run_cycles])
     new_components = [
-        c._replace(kind=GOOD) if walked[c.id] and c.kind == BAD else c for c in comps
+        c._replace(kind=GOOD) if c.kind == BAD and c.id in span else c for c in comps
     ]
     return ChainedTree(new_components, tree.chains, tree.chain_parent, tree.root_chain)
 
@@ -436,6 +440,11 @@ class TaggedTree:
         down.reverse()
         return up + down
 
+    def restricted(self, keep) -> "TaggedTree":
+        """The nodes in ``keep`` and the edges between them."""
+        nodes = {u: n for u, n in self.nodes.items() if u in keep}
+        return TaggedTree(nodes, {u: tuple(v for v in self.adj[u] if v in keep) for u in nodes})
+
     def with_swapped_tags(self) -> "TaggedTree":
         swap = {TAG_A: TAG_B, TAG_B: TAG_A}
         nodes = {
@@ -576,7 +585,7 @@ def flower_contract(tree: ChainedTree) -> TaggedTree:
     parent = tree.parent_array()
     nbrs: list[list[int]] = [[] for _ in parent]
     for x, p in enumerate(parent):
-        if p >= 0:
+        if p is not None:
             nbrs[x].append(p)
             nbrs[p].append(x)
     nodes = {c.id: TreeNode(c.kind == BAD, c.tags, frozenset((c.id,))) for c in tree.components}

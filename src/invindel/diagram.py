@@ -17,58 +17,12 @@ extremity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import not_, sub, xor
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
 from .genome import Chromosome, GenomePair
-
-UPPER = "A"
-LOWER = "B"
-
-
-@dataclass(frozen=True)
-class CycleStep:
-    """One line edge as traversed by a cycle walk."""
-
-    side: str  # UPPER or LOWER
-    index: int
-    left_to_right: bool
-    labeled: bool
-
-
-@dataclass(slots=True)
-class _Lines:
-    """The two lines of a diagram as flat arrays over extremities.
-
-    ``lower_seq[p]`` is the extremity at place ``p`` of the lower line
-    (edge ``p // 2``, its left end when ``p`` is even) and ``lower_at`` is
-    its inverse; ``upper_labeled``/``lower_labeled`` flag the edges that
-    carry exclusive markers.
-    """
-
-    g: int
-    upper_labeled: bytearray
-    lower_labeled: bytearray
-    lower_seq: list[int]
-    lower_at: list[int]
-
-    def steps(self, first_edge: int) -> tuple[CycleStep, ...]:
-        """The walk of the cycle through the left end of upper edge
-        ``first_edge``."""
-        g, n2 = self.g, 2 * self.g
-        out = []
-        start = x = 2 * first_edge + 1
-        while True:
-            left = bool(x & 1)
-            e = x >> 1 if left else ((x >> 1) - 1) % g
-            out.append(CycleStep(UPPER, e, left, bool(self.upper_labeled[e])))
-            p = self.lower_at[(x + 1) % n2 if left else (x - 1) % n2]
-            out.append(CycleStep(LOWER, p >> 1, not p & 1, bool(self.lower_labeled[p >> 1])))
-            x = self.lower_seq[p ^ 1]
-            if x == start:
-                return tuple(out)
 
 
 @dataclass(slots=True)
@@ -81,12 +35,6 @@ class Cycle:
     runs: int  # maximal single-genome runs of labeled edges along the cycle
     has_a_run: bool
     has_b_run: bool
-    _lines: _Lines = field(repr=False, compare=False)
-
-    @property
-    def steps(self) -> tuple[CycleStep, ...]:
-        """The walk itself, rebuilt on demand."""
-        return self._lines.steps(self.a_positions[0])
 
     @property
     def is_two_cycle(self) -> bool:
@@ -205,7 +153,6 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
     lower_at = [0] * n2
     for p, x in enumerate(lower_seq):
         lower_at[x] = p
-    lines = _Lines(g, upper_labeled, lower_labeled, lower_seq, lower_at)
 
     # Each cycle starts at the leftmost upper extremity not yet walked, the
     # left end of its first upper edge, and walks that edge first.
@@ -260,7 +207,6 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
                 switches or int(first_side >= 0),
                 has_a,
                 has_b,
-                lines,
             )
         )
     return RelationalDiagram(pair, anchor, g, cycles)

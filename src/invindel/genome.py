@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .errors import (
     DuplicateMarker,
     EmptyInput,
+    InvindelError,
     MalformedToken,
     NotLinear,
     TooFewCommonMarkers,
@@ -288,5 +289,11 @@ def read_pair_text(text: str) -> tuple[Chromosome, Chromosome]:
 
 
 def read_pair_file(path: str) -> tuple[Chromosome, Chromosome]:
-    with open(path, encoding="utf-8") as fh:
-        return read_pair_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvindelError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvindelError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+    return read_pair_text(text)

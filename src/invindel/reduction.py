@@ -95,19 +95,6 @@ def _balanced_pair_plan(
     return pairs
 
 
-def _branch_within(tree: TaggedTree, nodes: frozenset[int], u: int) -> list[int]:
-    deg = {n: sum(1 for v in tree.adj[n] if v in nodes) for n in nodes}
-    branch = [u]
-    prev, cur = None, u
-    while True:
-        nxt = [v for v in tree.adj[cur] if v in nodes and v != prev]
-        if len(nxt) != 1 or deg[nxt[0]] != 2:
-            break
-        branch.append(nxt[0])
-        prev, cur = cur, nxt[0]
-    return branch
-
-
 def _fragment_leaf_tags(
     tree: TaggedTree, sub: frozenset[int], branch: list[int]
 ) -> frozenset[str]:
@@ -143,7 +130,8 @@ def essential_leaf(tree: TaggedTree, leaves: list[int]) -> int:
     if len(L) != 3:
         raise PreconditionViolated(f"essential leaf needs 3 leaves, got {len(L)}")
     sub = induced_subtree(tree, L)
-    branches = {u: _branch_within(tree, sub, u) for u in L}
+    within = tree.restricted(sub)
+    branches = {u: leaf_branch(within, u) for u in L}
     for u in L:
         if branches[u] == leaf_branch(tree, u):
             return u

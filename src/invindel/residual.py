@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .components import TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, NoCaseMatched, PreconditionViolated, UnknownComposition
-from .treecover import Cover, CoverPath, Topology, lift_paths, path_cost
+from .treecover import Cover, CoverPath, Topology, lift_paths, path_cost, solo_candidates
 
 A = frozenset({"A"})
 B = frozenset({"B"})
@@ -531,14 +531,6 @@ _G3 = {
             OUT("A", "AB", 1),
             OUT("AB", "B", 1),
         ),
-        case(
-            "S2",
-            4,
-            SHORT("C"),
-            OUT("A", "AB", 1),
-            OUT("A", "AB", 1),
-            OUT("AB", "B", 1),
-        ),
         reduce_case(">>", "AB"),
     ],
     (2, 1, 2, 1): [
@@ -610,14 +602,6 @@ _G3 = {
             OUT("A", "AB", 1),
             OUT("AB", "B", 1),
         ),
-        case(
-            "I2",
-            5,
-            IN("C"),
-            OUT("A", "AB", 1),
-            OUT("A", "AB", 1),
-            OUT("AB", "B", 1),
-        ),
         reduce_case(">>", "AB"),
     ],
     (2, 1, 2, 4): [
@@ -682,14 +666,6 @@ _G3 = {
     (2, 2, 1, 3): [
         case(
             "nR1",
-            5,
-            OUT("A", "AB", 1),
-            OUT("A", "AB", 1),
-            OUT("AB", "B", 1),
-            OUT("B", "C", 2),
-        ),
-        case(
-            "nR2",
             5,
             OUT("A", "AB", 1),
             OUT("A", "AB", 1),
@@ -916,7 +892,7 @@ def _spec_options(tree: TaggedTree, topo: Topology, spec: PathSpec, used: set[in
                 yield (u, m, (u,) if not spec.covered_src else ())
     elif spec.kind == "short":
         if spec.c1 == "C":
-            cands = topo.solo_candidates()
+            cands = solo_candidates(topo.tree)
             rest = [u for u in topo.classes["C"] if u not in cands]
             pool = cands + rest
         else:

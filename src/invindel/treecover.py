@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .components import TAG_A, TAG_B, TaggedTree
+from .components import TAG_A, TAG_B, TaggedTree, spanning_subtree
 from .errors import (
     OddLeafCount,
     PreconditionViolated,
@@ -115,39 +115,9 @@ def cover_tree_with_traversals(tree: TaggedTree, leaves: list[int] | None = None
 
 
 def induced_subtree(tree: TaggedTree, nodes: list[int]) -> frozenset[int]:
-    """Smallest connected subtree containing the given nodes.
-
-    Walks up the tree's rooting from each node, stopping at the first node
-    walked before, and counts the walked children of every node; the walks
-    cover the nodes' paths to the root, and the subtree is that union less
-    its stem: the nodes passed on the way down from the root before the
-    first given node or node with two walked children.
-    """
-    parent = tree.rooting()[0]
-    walked: set[int] = set()
-    kids: dict[int, int] = {}
-    down: dict[int, int] = {}  # the walked child, where there is just one
-    roots = []
-    for x in nodes:
-        if x in walked:
-            continue
-        walked.add(x)
-        p = parent[x]
-        while p is not None:
-            kids[p] = kids.get(p, 0) + 1
-            down[p] = x
-            if p in walked:
-                break
-            walked.add(p)
-            x, p = p, parent[p]
-        else:
-            roots.append(x)
-    targets = set(nodes)
-    for x in roots:
-        while kids.get(x) == 1 and x not in targets:
-            walked.remove(x)
-            x = down[x]
-    return frozenset(walked)
+    """Smallest connected subtree containing the given nodes (each connected
+    part of a forest spanned on its own)."""
+    return spanning_subtree(tree.rooting()[0], nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +186,17 @@ def cover_floor(tree: TaggedTree) -> int:
 # Closed forms for the simplest trees
 
 
-def _traversal_cover(tree: TaggedTree) -> Cover:
-    """Cover an even-leaved tree by circular-pairing traversals."""
-    cover = Cover()
-    for u, v in cover_tree_with_traversals(tree):
-        cover.paths.append(path_cost(tree, u, v))
+def _traversal_cover(tree: TaggedTree, part: TaggedTree) -> Cover:
+    """Cover an even-leaved part of the tree by circular-pairing traversals."""
+    return Cover([path_cost(tree, u, v) for u, v in cover_tree_with_traversals(part)])
+
+
+def _odd_cover(tree: TaggedTree, drop: int, end: int) -> Cover:
+    """Cover an odd-leaved tree: traversals over the tree less the leaf
+    branch of ``drop``, and one path from ``drop`` to ``end``."""
+    cover = _traversal_cover(tree, tree.restricted(tree.nodes.keys() - leaf_branch(tree, drop)))
+    cover.paths.append(path_cost(tree, drop, end))
     return cover
-
-
-def _pruned_without_branch(tree: TaggedTree, leaf: int) -> TaggedTree:
-    gone = set(leaf_branch(tree, leaf))
-    nodes = {u: n for u, n in tree.nodes.items() if u not in gone}
-    return TaggedTree(nodes, {u: tuple(v for v in tree.adj[u] if v not in gone) for u in nodes})
 
 
 def tau_shared_tag(tree: TaggedTree) -> tuple[int, Cover]:
@@ -241,17 +210,9 @@ def tau_shared_tag(tree: TaggedTree) -> tuple[int, Cover]:
     if len(leaves) == 1:
         return 1, Cover([path_cost(tree, leaves[0], leaves[0])])
     if len(leaves) % 2 == 0:
-        cover = _traversal_cover(tree)
+        cover = _traversal_cover(tree, tree)
         return len(cover.paths), cover
-    # odd: remove one leaf branch, cover the rest, add one extra traversal
-    drop = leaves[0]
-    pruned = _pruned_without_branch(tree, drop)
-    cover = Cover()
-    for u, v in cover_tree_with_traversals(pruned):
-        cover.paths.append(path_cost(tree, u, v))
-    other = next(u for u in leaves if u != drop)
-    cover.paths.append(path_cost(tree, drop, other))
-    return (len(leaves) + 1) // 2, cover
+    return (len(leaves) + 1) // 2, _odd_cover(tree, leaves[0], leaves[1])
 
 
 def tau_all_clean(tree: TaggedTree) -> tuple[int, Cover]:
@@ -266,19 +227,11 @@ def tau_all_clean(tree: TaggedTree) -> tuple[int, Cover]:
     if ell == 1:
         return 1, Cover([path_cost(tree, leaves[0], leaves[0])])
     if ell % 2 == 0:
-        return ell, _traversal_cover(tree)
+        return ell, _traversal_cover(tree, tree)
     short = [u for u in leaves if not branch_is_long(tree, u)]
-    drop = short[0] if short else leaves[0]
-    pruned = _pruned_without_branch(tree, drop)
-    cover = Cover()
-    for u, v in cover_tree_with_traversals(pruned):
-        cover.paths.append(path_cost(tree, u, v))
     if short:
-        cover.paths.append(path_cost(tree, drop, drop))
-        return ell, cover
-    other = next(u for u in leaves if u != drop)
-    cover.paths.append(path_cost(tree, drop, other))
-    return ell + 1, cover
+        return ell, _odd_cover(tree, short[0], short[0])
+    return ell + 1, _odd_cover(tree, leaves[0], leaves[1])
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +384,15 @@ class Topology:
         an indel-saving semi-traversal from a source leaf through that node
         covers the link.
         """
-        ts, th = self.subtree(source), self.subtree(host)
-        if not ts or not th or (ts & th):
+        between = self.link_nodes(source, host)
+        if between is None:
             return []
-        u = next(iter(ts))
-        v = next(iter(th))
-        path = self.tree.path(u, v)
-        between = [n for n in path if n not in ts and n not in th]
-        bads = [n for n in between if self.tree.is_bad(n)]
+        bads = [i for i, n in enumerate(between) if self.tree.is_bad(n)]
         if not bads:
             return []
-        p = bads[-1]  # closest to the host side along the walk
-        extended = set(th)
-        extended.update(between[between.index(p):])
+        # from the bad link node closest to the host side along the walk
+        extended = self.subtree(host).union(between[bads[-1]:])
         return sorted(n for n in extended if tag in self.tree.tags(n))
-
-    def mate_node(self, source, tag: str, host) -> int | None:
-        carriers = self.mate_nodes(source, tag, host)
-        return carriers[0] if carriers else None
-
-    # -- solo candidates -----------------------------------------------------
-
-    def solo_candidates(self) -> list[int]:
-        return solo_candidates(self.tree)
 
 
 @dataclass
@@ -509,9 +448,9 @@ def analyze_topology(tree: TaggedTree) -> TopologyReport:
             for host in present:
                 if host == src:
                     continue
-                m = topo.mate_node({src}, tag, {host})
-                if m is not None:
-                    mates[(src, tag, host)] = m
+                carriers = topo.mate_nodes({src}, tag, {host})
+                if carriers:
+                    mates[(src, tag, host)] = carriers[0]
     return TopologyReport(
         composition=tree.composition(),
         leaf_classes={c: topo.classes[c] for c in present},
@@ -519,7 +458,7 @@ def analyze_topology(tree: TaggedTree) -> TopologyReport:
         isolated={c: topo.isolated({c}) for c in present},
         links=links,
         mates=mates,
-        solo_candidates=topo.solo_candidates(),
+        solo_candidates=solo_candidates(tree),
         fully_corooted=topo.fully_corooted,
         fully_separated=topo.fully_separated,
         leaf_branches={

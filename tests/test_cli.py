@@ -200,6 +200,25 @@ def test_cli_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_missing_file_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "missing.txt"
+    assert main(["dist", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
+
+
+def test_cli_directory_exits_with_error(tmp_path, capsys):
+    assert main(["dist", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_cli_non_utf8_file_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("a b \xe9\nb a \xe9\n".encode("latin-1"))
+    assert main(["dist", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+
+
 def test_cli_verify_smoke(capsys):
     assert main(["verify", "--trials", "12", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -219,6 +238,25 @@ def test_parser_rejects_unknown_trace():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["dist", "x", "--trace", "nope"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--sizes", "100,abc"],
+        ["bench", "--sizes", "100,0"],
+        ["bench", "--sizes", "100,"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--repeats", "x"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-3"],
+    ],
+)
+def test_parser_rejects_bad_numbers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
 
 
 def test_distance_invariant_under_relabeling():

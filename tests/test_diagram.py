@@ -4,7 +4,6 @@ import pytest
 
 import reference_diagram
 from invindel.diagram import (
-    CycleStep,
     build_relational_diagram,
     classify_cycle,
     indel_potential,
@@ -110,13 +109,8 @@ def test_dotted_edge_count_invariant():
     for _ in range(100):
         pair = random_genome_pair(rng, rng.randint(2, 7), rng.randint(0, 2), rng.randint(0, 2))
         d = build_relational_diagram(pair, sorted(pair.common)[0])
-        # each cycle alternates upper and lower steps; dotted edges = steps
-        assert sum(len(c.steps) for c in d.cycles) == 2 * d.g_count
-        for c in d.cycles:
-            assert len(c.steps) % 2 == 0
-            assert len([s for s in c.steps if s.side == "A"]) == len(
-                [s for s in c.steps if s.side == "B"]
-            )
+        # every upper edge lies on exactly one cycle
+        assert sorted(p for c in d.cycles for p in c.a_positions) == list(range(d.g_count))
         assert d.c <= d.g_count
 
 
@@ -149,8 +143,7 @@ def _census(d):
 
 def test_integer_walk_matches_reference_walk():
     # the integer walk against the named-extremity walk of
-    # tests/reference_diagram.py: the same cycles at every anchor, and the
-    # same steps at one anchor per pair
+    # tests/reference_diagram.py: the same cycles at every anchor
     rng = random.Random(2027)
     reversed_in = {(False, False): 0, (True, False): 0, (False, True): 0, (True, True): 0}
     capped = 0
@@ -167,14 +160,10 @@ def test_integer_walk_matches_reference_walk():
         for p in pairs:
             fwd_a = {m.name: m.forward for m in p.a.markers}
             fwd_b = {m.name: m.forward for m in p.b.markers}
-            for i, anchor in enumerate(sorted(p.common)):
+            for anchor in sorted(p.common):
                 d = build_relational_diagram(p, anchor)
                 ref = reference_diagram.cycle_steps(p, anchor)
                 assert _census(d) == reference_diagram.census(ref)
-                if i == 0:
-                    assert [list(c.steps) for c in d.cycles] == [
-                        [CycleStep(*s) for s in steps] for steps in ref
-                    ]
                 reversed_in[not fwd_a[anchor], not fwd_b[anchor]] += 1
     assert capped > 500
     assert min(reversed_in.values()) > 1000

@@ -38,6 +38,14 @@ def test_case_lists_are_sorted_by_cost():
             assert sum(spec.cost for spec in cs.recipe) == cs.cost, (comp, cs.label)
 
 
+def test_table_holds_no_duplicate_case():
+    # a case with the cost, recipe and reduce class of an earlier one in its
+    # list binds exactly when that one does, so the lookup never reaches it
+    for comp, cases in TABLE.items():
+        keys = [(cs.cost, cs.recipe, cs.reduce_class) for cs in cases]
+        assert len(set(keys)) == len(keys), comp
+
+
 def test_lookup_2200_topologies():
     assert optimal_cover_of_residual(fig.L2200_COROOTED)[0] == 2
     assert optimal_cover_of_residual(fig.L2200_SHORTLINK)[0] == 3

@@ -242,9 +242,9 @@ def _random_chained_tree(rng: random.Random) -> ChainedTree:
     return ChainedTree(comps, chains, chain_parent, 0)
 
 
-def _ancestors(parent: list[int], x: int) -> set[int]:
+def _ancestors(parent: list[int | None], x: int) -> set[int]:
     out = set()
-    while parent[x] >= 0:
+    while parent[x] is not None:
         x = parent[x]
         out.add(x)
     return out
