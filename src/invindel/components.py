@@ -10,6 +10,7 @@ computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .diagram import RelationalDiagram, build_relational_diagram
@@ -60,10 +61,21 @@ def _sweep_interleaving(
     components cannot have crossing spans (crossing implies interleaving),
     so spans on the stack are nested; an edge of an already-open component
     lies strictly inside every span opened after it, forcing unions.
+
+    The edge of a one-edge cycle is skipped: its span holds one position
+    and crosses no other, and the only other thing its visit does, popping
+    the spans that end before it, the next visited position does too.
     """
-    n = len(owner)
     uf = _UnionFind(len(positions))
-    root_max = {i: ps[-1] for i, ps in enumerate(positions)}
+    root_max = [ps[-1] for ps in positions]
+    lone = [ps[0] for ps in positions if len(ps) == 1]
+    if lone:
+        visit = bytearray(b"\x01") * len(owner)
+        for p in lone:
+            visit[p] = 0
+        sweep = compress(range(len(owner)), visit)
+    else:
+        sweep = range(len(owner))
 
     def union(a: int, b: int) -> int:
         r = uf.union(a, b)
@@ -73,7 +85,7 @@ def _sweep_interleaving(
     stack: list[list[int]] = []  # entries [root, max extent], innermost last
     open_rec: dict[int, list[int]] = {}
 
-    for p in range(n):
+    for p in sweep:
         c = uf.find(owner[p])
         while stack and stack[-1][1] < p:
             top = stack.pop()
@@ -170,7 +182,13 @@ def find_components(diagram: RelationalDiagram) -> list[Component]:
 
 @dataclass
 class ChainedTree:
-    """Rooted tree of round (component) and square (chain) nodes."""
+    """Rooted tree of round (component) and square (chain) nodes.
+
+    Chains are listed top-down: the component a chain nests in lies in an
+    earlier chain.  ``build_chained_tree`` lists the chains by the id of
+    their first component, and a nested chain's first component starts to
+    the right of the component it nests in.
+    """
 
     components: list[Component]
     chains: list[list[int]]  # component ids, left to right
@@ -300,9 +318,6 @@ class TreeNode(NamedTuple):
     bad: bool
     tags: frozenset[str]
     src: frozenset[int] = frozenset()
-
-
-_SQUARE = TreeNode(False, frozenset(), frozenset())
 
 
 class TaggedTree:
@@ -476,6 +491,31 @@ class TaggedTree:
                 raise InvindelError("tagged tree is not connected")
 
 
+def _settle(b, block, tags: frozenset[str], bads, gained: dict, folded: dict) -> int | None:
+    """The contraction rule for one merged block of good nodes, ``b`` being
+    the caller's handle for it, ``block`` its node ids, ``tags`` the union
+    of their tags and ``bads`` its bad neighbours.
+
+    A clean block between two bad nodes is spliced out, the two gaining
+    each other as neighbours; a block with one bad neighbour is folded into
+    it (``folded[bad]`` collects the handles); a block with no bad
+    neighbour is dropped.  Any other block is kept under its smallest id,
+    which every bad neighbour gains and which is returned; else None.
+    """
+    if len(bads) == 2 and not tags:
+        b1, b2 = bads
+        gained.setdefault(b1, []).append(b2)
+        gained.setdefault(b2, []).append(b1)
+    elif len(bads) == 1:
+        folded.setdefault(bads[0], []).append(b)
+    elif bads:
+        root = min(block)
+        for y in bads:
+            gained.setdefault(y, []).append(root)
+        return root
+    return None
+
+
 def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
     """Flower-contract a tagged tree.
 
@@ -524,17 +564,9 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
             )
             bads = [y for x in block for y in adj[x] if y not in block_of]
         merged.append(node)
-        if len(bads) == 2 and not node.tags:
-            b1, b2 = bads
-            gained.setdefault(b1, []).append(b2)
-            gained.setdefault(b2, []).append(b1)
-        elif len(bads) == 1:
-            folded.setdefault(bads[0], []).append(b)
-        elif bads:
-            root = min(block)
+        root = _settle(b, block, node.tags, bads, gained, folded)
+        if root is not None:
             kept[b] = root, tuple(sorted(bads))
-            for y in bads:
-                gained.setdefault(y, []).append(root)
 
     out: dict[int, TreeNode] = {}
     out_adj: dict[int, tuple[int, ...]] = {}
@@ -581,18 +613,60 @@ def reduce_by_paths(
 
 def flower_contract(tree: ChainedTree) -> TaggedTree:
     """Contract the chained tree, its squares taken as clean good nodes,
-    into the unrooted tagged component tree."""
-    parent = tree.parent_array()
-    nbrs: list[list[int]] = [[] for _ in parent]
-    for x, p in enumerate(parent):
-        if p is not None:
-            nbrs[x].append(p)
-            nbrs[p].append(x)
-    nodes = {c.id: TreeNode(c.kind == BAD, c.tags, frozenset((c.id,))) for c in tree.components}
-    for sq in range(len(tree.components), len(parent)):
-        nodes[sq] = _SQUARE
-    raw = TaggedTree(nodes, {x: tuple(sorted(vs)) for x, vs in enumerate(nbrs)})
-    return contract(raw)[0]
+    into the unrooted tagged component tree, with the rule ``contract``
+    applies but no tagged tree of the chained one.
+
+    One top-down pass over the parent array, read in its compact form
+    (chain ``i`` is the parent of its components and the child of
+    ``chain_parent[i]``), finds the blocks of good nodes: a square starts a
+    block unless its parent component is good, in which case it joins that
+    component's block, and a good component joins its square's.  Squares
+    are never bad and two components are never adjacent, so the bad
+    neighbours of a block are the bad components next to its squares, and
+    each block is settled once by ``_settle``.  A block's ``src`` holds its
+    good components, and its smallest id is that of its smallest good
+    component or, with none, of its one square.
+    """
+    comps = tree.components
+    m = len(comps)
+    bad = [c.kind == BAD for c in comps]
+    # per block: its square heading it, its good components, its bad neighbours
+    blocks: list[tuple[int, list[int], list[int]]] = []
+    block_of: list[tuple | None] = [None] * m  # good component -> the block it joined
+    for i, chain in enumerate(tree.chains):
+        p = tree.chain_parent[i]
+        if p is None or bad[p]:
+            block = (m + i, [], [] if p is None else [p])
+            blocks.append(block)
+        else:
+            block = block_of[p]
+        good, bads = block[1], block[2]
+        for c in chain:
+            if bad[c]:
+                bads.append(c)
+            else:
+                good.append(c)
+                block_of[c] = block
+
+    gained: dict[int, list[int]] = {}  # bad component -> neighbours in place of blocks
+    folded: dict[int, list[int]] = {}  # bad component -> blocks folded into it
+    block_tags: list[frozenset[str]] = []
+    out: dict[int, tuple[TreeNode, tuple[int, ...]]] = {}
+    for b, (square, good, bads) in enumerate(blocks):
+        tags = frozenset().union(*[comps[c].tags for c in good])
+        block_tags.append(tags)
+        root = _settle(b, good or (square,), tags, bads, gained, folded)
+        if root is not None:
+            out[root] = TreeNode(False, tags, frozenset(good)), tuple(sorted(bads))
+    for c in compress(range(m), bad):
+        tags, src = comps[c].tags, frozenset((c,))
+        into = folded.get(c)
+        if into:
+            tags = tags.union(*[block_tags[b] for b in into])
+            src = src.union(*[blocks[b][1] for b in into])
+        out[c] = TreeNode(True, tags, src), tuple(sorted(gained.get(c, ())))
+    order = sorted(out)
+    return TaggedTree({u: out[u][0] for u in order}, {u: out[u][1] for u in order})
 
 
 def tagged_tree_for_pair(pair: GenomePair, anchor: str | None = None):

@@ -5,6 +5,7 @@ and asserts the criterion at its stated tolerance.  All randomness is
 seeded, so the suite is reproducible.
 """
 
+import gc
 import itertools
 import random
 import statistics
@@ -13,7 +14,7 @@ import time
 import trees as fig
 
 from invindel.cli import compute_distance, tau_star
-from invindel.components import TaggedTree, contract, find_components
+from invindel.components import TaggedTree, contract, find_components, tagged_tree_for_pair
 from invindel.diagram import build_relational_diagram, indel_potential
 from invindel.genome import Chromosome, GenomePair, Marker
 from invindel.oracle import (
@@ -24,6 +25,7 @@ from invindel.oracle import (
     random_genome_pair,
     random_residual_tree,
     random_tagged_tree,
+    structured_genome_pair,
 )
 from invindel.residual import known_compositions, optimal_cover_of_residual
 
@@ -260,4 +262,41 @@ def test_criterion_7_scaling():
         "(medians "
         + ", ".join(f"n={n}: {medians[n] * 1000:.0f}ms" for n in sorted(medians))
         + f"; ratios {[f'{r:.2f}' for r in ratios]})",
+    )
+
+
+def test_criterion_8_structured_scaling():
+    # nested block swaps give tagged trees of hundreds of leaves.  The sizes
+    # are timed in turn, round after round, so that a drift in the
+    # machine's speed reaches all of them, and each timing starts after a
+    # full collection: one falling due mid-call would cost in proportion to
+    # everything the test process holds, not to the pair
+    rng = random.Random(88)
+    sizes = (30, 60, 120, 240)
+    pairs = {n: [structured_genome_pair(rng, n) for _ in range(9)] for n in sizes}
+    total: dict[int, list[float]] = {n: [] for n in sizes}
+    tau: dict[int, list[float]] = {n: [] for n in sizes}
+    for r in range(9):
+        for n in sizes:
+            pair = pairs[n][r]
+            gc.collect()
+            t0 = time.perf_counter()
+            compute_distance(pair)
+            total[n].append(time.perf_counter() - t0)
+            tagged = tagged_tree_for_pair(pair)[3]
+            gc.collect()
+            t0 = time.perf_counter()
+            tau_star(tagged)
+            tau[n].append(time.perf_counter() - t0)
+    medians = {n: statistics.median(total[n]) for n in sizes}
+    tau_medians = {n: statistics.median(tau[n]) for n in sizes}
+    ratios = [medians[2 * n] / medians[n] for n in sizes[:-1]]
+    tau_ratio = tau_medians[240] / tau_medians[60]
+    _report(
+        "8 structured scaling",
+        all(r <= 3.0 for r in ratios) and tau_ratio <= 6.25,
+        "(medians "
+        + ", ".join(f"{n} blocks: {medians[n] * 1000:.0f}ms" for n in sizes)
+        + f"; ratios {[f'{r:.2f}' for r in ratios]}; tau* {tau_medians[60] * 1000:.1f}ms"
+        + f" -> {tau_medians[240] * 1000:.1f}ms from 60 to 240 blocks, ratio {tau_ratio:.2f})",
     )

@@ -13,7 +13,12 @@ from invindel.components import (
 )
 from invindel.diagram import build_relational_diagram
 from invindel.genome import classify_markers, parse_chromosome
-from invindel.oracle import brute_force_tau, OracleBudget, random_genome_pair
+from invindel.oracle import (
+    OracleBudget,
+    brute_force_tau,
+    random_genome_pair,
+    structured_genome_pair,
+)
 
 
 def figure_pair():
@@ -68,12 +73,22 @@ def test_nested_bad_cycles_stay_separate():
 
 def test_sweep_matches_pairwise_closure():
     # interleaving components equal the transitive closure of the pairwise
-    # relation, recomputed independently
+    # relation, recomputed independently.  The sweep skips the edges of
+    # one-edge cycles: the structured pairs are full of them, and pairs
+    # with none are checked too
     rng = random.Random(11)
-    for _ in range(300):
-        pair = random_genome_pair(rng, rng.randint(2, 9), rng.randint(0, 2), rng.randint(0, 2))
+    pairs = [
+        random_genome_pair(rng, rng.randint(2, 9), rng.randint(0, 2), rng.randint(0, 2))
+        for _ in range(300)
+    ]
+    pairs += [structured_genome_pair(rng, rng.randint(1, 8)) for _ in range(20)]
+    with_lone = without_lone = 0
+    for pair in pairs:
         d = build_relational_diagram(pair, sorted(pair.common)[0])
         comps = find_components(d)
+        lone = sum(len(c.a_positions) == 1 for c in d.cycles)
+        with_lone += lone > 0
+        without_lone += lone == 0
         # brute closure
         n = d.c
         parent = list(range(n))
@@ -93,6 +108,7 @@ def test_sweep_matches_pairwise_closure():
             want.setdefault(find(i), set()).add(i)
         got = {frozenset(c.cycles) for c in comps}
         assert got == {frozenset(v) for v in want.values()}
+    assert with_lone >= 50 and without_lone >= 50
 
 
 def test_figure_chained_tree_shape():

@@ -28,8 +28,7 @@ from invindel.components import (
     reduce_by_paths,
 )
 from invindel.diagram import build_relational_diagram
-from invindel.genome import classify_markers, parse_chromosome
-from invindel.oracle import random_genome_pair, random_tagged_tree
+from invindel.oracle import random_genome_pair, random_tagged_tree, structured_genome_pair
 from invindel.treecover import induced_subtree
 
 
@@ -117,6 +116,55 @@ def test_contract_edge_shapes():
     out, support = contract(chain)
     assert out.adj == {0: (4,), 4: (0,)}
     assert support == {0: frozenset({0}), 4: frozenset({4})}
+
+
+def _chained(kinds: str, tags: list[str], chains, chain_parent) -> ChainedTree:
+    """A chained tree from one letter per component, ``b`` bad, ``g`` good
+    or ``t`` trivial, and its tags."""
+    kind = {"b": BAD, "g": GOOD, "t": TRIVIAL}
+    comps = [
+        Component(c, (c,), kind[k], frozenset(t), (c, c), 0)
+        for c, (k, t) in enumerate(zip(kinds, tags))
+    ]
+    return ChainedTree(comps, chains, chain_parent, 0)
+
+
+def test_flower_contract_edge_shapes():
+    def contracted(tree: ChainedTree) -> TaggedTree:
+        out = flower_contract(tree)
+        assert _snapshot(out) == _snapshot(reference_tree.flower_contract(tree))
+        return out
+
+    # an all-good chained tree contracts to nothing
+    all_good = _chained("gtg", ["A", "", "B"], [[0, 1], [2]], [None, 0])
+    assert contracted(all_good).is_empty
+    # a lone bad component absorbs its square
+    lone = contracted(_chained("b", ["B"], [[0]], [None]))
+    assert lone.nodes == {0: (True, frozenset("B"), frozenset({0}))}
+    assert lone.adj == {0: ()}
+    # the clean square of a chain of two bad components is spliced out
+    pair = contracted(_chained("bb", ["A", ""], [[0, 1]], [None]))
+    assert pair.nodes == {
+        0: (True, frozenset("A"), frozenset({0})),
+        1: (True, frozenset(), frozenset({1})),
+    }
+    assert pair.adj == {0: (1,), 1: (0,)}
+    # a tagged trivial component whose block has one bad neighbour folds
+    # its tag and its id into it
+    fold = contracted(_chained("bt", ["", "A"], [[0, 1]], [None]))
+    assert fold.nodes == {0: (True, frozenset("A"), frozenset({0, 1}))}
+    assert fold.adj == {0: ()}
+    # a kept block takes its smallest id and its src holds its good
+    # components, not the ids of its squares
+    kept = contracted(
+        _chained("bgbgb", ["", "B", "", "", "A"], [[0, 1, 2], [3], [4]], [None, 1, 3])
+    )
+    assert kept.adj == {0: (1,), 1: (0, 2, 4), 2: (1,), 4: (1,)}
+    assert kept.nodes[1] == (False, frozenset("B"), frozenset({1, 3}))
+    # a lone square with three bad neighbours is kept under its own id
+    square = contracted(_chained("bbb", ["", "", ""], [[0, 1, 2]], [None]))
+    assert list(square.nodes) == [0, 1, 2, 3] and square.adj[3] == (0, 1, 2)
+    assert square.nodes[3] == (False, frozenset(), frozenset())
 
 
 def test_reduce_by_paths_matches_reference():
@@ -220,7 +268,8 @@ def test_cached_queries_match_fresh_ones_after_reduction():
 
 def _random_chained_tree(rng: random.Random) -> ChainedTree:
     """Chains of one to three components, each component holding up to two
-    nested chains, to depth four; a few components carry both-run cycles."""
+    nested chains, to depth four; components draw random tags, and the few
+    that carry both-run cycles are tagged both A and B."""
     comps: list[Component] = []
     chains: list[list[int]] = []
     chain_parent: list[int | None] = []
@@ -233,7 +282,8 @@ def _random_chained_tree(rng: random.Random) -> ChainedTree:
             cid = len(comps)
             kind = rng.choice([BAD, BAD, GOOD, TRIVIAL])
             both = rng.choice([0, 0, 0, 0, 1, 1, 2])
-            comps.append(Component(cid, (cid,), kind, frozenset(), (cid, cid), both))
+            tags = frozenset("AB" if both else _tags(rng))
+            comps.append(Component(cid, (cid,), kind, tags, (cid, cid), both))
             chain.append(cid)
             for _ in range(rng.randint(0, 2) if depth else 0):
                 make_chain(cid, depth - 1)
@@ -252,14 +302,18 @@ def _ancestors(parent: list[int | None], x: int) -> set[int]:
 
 def test_merge_marking_matches_pruning_reference():
     rng = random.Random(77)
-    stems = 0
+    stems = tagged_kept = tag_folds = 0
     for _ in range(1000):
         tree = _random_chained_tree(rng)
         marked = mark_costless_merges(tree)
         assert marked == reference_tree.mark_costless_merges(tree)
-        assert _snapshot(flower_contract(marked)) == _snapshot(
-            reference_tree.flower_contract(marked)
-        )
+        tagged = flower_contract(marked)
+        assert _snapshot(tagged) == _snapshot(reference_tree.flower_contract(marked))
+        # the tag rules of contraction are exercised: a tagged block between
+        # two bad nodes is kept, a tagged block folds its tags into a bad one
+        for u, n in tagged.nodes.items():
+            tagged_kept += not n.bad and bool(n.tags) and len(tagged.adj[u]) == 2
+            tag_folds += n.bad and n.tags != marked.components[u].tags
         # a bad component above the carriers' lowest common ancestor is on
         # no path between two of them, and stays bad
         parent = tree.parent_array()
@@ -272,6 +326,7 @@ def test_merge_marking_matches_pruning_reference():
                     assert marked.components[c].kind == BAD
                     stems += 1
     assert stems >= 50
+    assert tagged_kept >= 50 and tag_folds >= 50
 
 
 def test_merge_marking_leaves_the_stem_alone():
@@ -288,40 +343,6 @@ def test_merge_marking_leaves_the_stem_alone():
 
 # ---------------------------------------------------------------------------
 # The whole front end
-
-
-def _structured_pair(rng: random.Random, blocks: int):
-    """Blocks ``w x y z`` nested to depth three; A reads some of them as
-    ``w y x z``, and each genome holds a few exclusive markers."""
-    counter = itertools.count()
-
-    def block(depth: int):
-        parts = []
-        for _ in range(4):
-            if depth > 1 and rng.random() < 0.55:
-                parts.append(block(depth - 1))
-            else:
-                name = f"g{next(counter)}"
-                parts.append(([name], [name]))
-        order = (0, 2, 1, 3) if rng.random() < 0.5 else (0, 1, 2, 3)
-        return [m for i in order for m in parts[i][0]], [m for p in parts for m in p[1]]
-
-    a: list[str] = []
-    b: list[str] = []
-    for _ in range(blocks):
-        ba, bb = block(3)
-        a += ba
-        b += bb
-
-    def scatter(seq: list[str], prefix: str) -> str:
-        out = []
-        for k, m in enumerate(seq):
-            out.append(m)
-            if rng.random() < 0.15:
-                out.append(f"{prefix}{k}")
-        return " ".join(out)
-
-    return classify_markers(parse_chromosome(scatter(a, "x")), parse_chromosome(scatter(b, "y")))
 
 
 def _check_front_end(pair) -> None:
@@ -348,7 +369,7 @@ def test_front_end_matches_reference_on_structured_pairs():
     merged = 0
     for blocks in range(1, 21):
         for _ in range(2):
-            pair = _structured_pair(rng, blocks)
+            pair = structured_genome_pair(rng, blocks)
             _check_front_end(pair)
             d = build_relational_diagram(pair, min(pair.common))
             chained = build_chained_tree(find_components(d), d)
