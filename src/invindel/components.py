@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import ne
 from typing import NamedTuple
 
 from .diagram import RelationalDiagram, build_relational_diagram
@@ -62,20 +63,19 @@ def _sweep_interleaving(
     so spans on the stack are nested; an edge of an already-open component
     lies strictly inside every span opened after it, forcing unions.
 
-    The edge of a one-edge cycle is skipped: its span holds one position
-    and crosses no other, and the only other thing its visit does, popping
-    the spans that end before it, the next visited position does too.
+    Two rules skip positions.  Only the first position of a run of equal
+    owners is visited: at a later one, the component's record is on top of
+    the stack and reaches past it, so the visit changes nothing.  The edge
+    of a one-edge cycle is skipped: its span crosses no other, and the next
+    visited position pops the spans that end before it as well.
     """
     uf = _UnionFind(len(positions))
     root_max = [ps[-1] for ps in positions]
-    lone = [ps[0] for ps in positions if len(ps) == 1]
-    if lone:
-        visit = bytearray(b"\x01") * len(owner)
-        for p in lone:
-            visit[p] = 0
-        sweep = compress(range(len(owner)), visit)
-    else:
-        sweep = range(len(owner))
+    visit = bytearray(map(ne, owner, [-1, *owner]))  # where each run starts
+    for ps in positions:
+        if len(ps) == 1:
+            visit[ps[0]] = 0
+    sweep = compress(range(len(owner)), visit)
 
     def union(a: int, b: int) -> int:
         r = uf.union(a, b)

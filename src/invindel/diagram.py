@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import not_, sub, xor
+from operator import not_, xor
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
 from .genome import Chromosome, GenomePair
@@ -88,15 +88,16 @@ def _line(ch: Chromosome, common: frozenset[str], anchor: str):
     anchor is stored reversed, the line reads the stored order backwards
     with every orientation flipped, and the flip is left to the caller.
     """
-    n = len(ch)
     keep = list(map(common.__contains__, ch.order))
     names = list(compress(ch.order, keep))
     forward = list(compress(ch.forward, keep))
-    # Gap k follows kept place k; exclusive markers lie in it when the next
-    # kept place, round the circle, is more than one step on.
-    places = list(compress(range(n), keep))
-    places.append(places[0] + n)
-    gaps = bytearray(map((1).__lt__, map(sub, places[1:], places)))
+    # Gap k follows kept place k.  The j-th exclusive place q follows q - j
+    # kept places, so it lies in gap q - j - 1 (gap -1: the last gap).
+    gaps = bytearray(len(names))
+    q = -1
+    for j in range(len(keep) - len(names)):
+        q = keep.index(False, q + 1)
+        gaps[q - j - 1] = 1
     i = names.index(anchor)
     if forward[i]:
         return names[i:] + names[:i], forward[i:] + forward[:i], gaps[i:] + gaps[:i], True
@@ -115,6 +116,7 @@ class RelationalDiagram:
     anchor: str
     g_count: int
     cycles: list[Cycle]
+    owner: list[int]  # owner[e]: the id of the cycle that walks upper edge e
 
     @property
     def c(self) -> int:
@@ -124,11 +126,8 @@ class RelationalDiagram:
         return sum(indel_potential(c.runs) for c in self.cycles)
 
     def cycle_of_a_edge(self) -> list[int]:
-        owner = [-1] * self.g_count
-        for cyc in self.cycles:
-            for p in cyc.a_positions:
-                owner[p] = cyc.id
-        return owner
+        """Cycle id per upper edge: the diagram's own list, to read only."""
+        return self.owner
 
 
 def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram:
@@ -155,14 +154,15 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
         lower_at[x] = p
 
     # Each cycle starts at the leftmost upper extremity not yet walked, the
-    # left end of its first upper edge, and walks that edge first.
-    seen = bytearray(g)
+    # left end of its first upper edge, and walks that edge first.  The walk
+    # labels each upper edge with its cycle.
+    owner = [-1] * g
     cycles: list[Cycle] = []
     for e0 in range(g):
-        if seen[e0]:
+        if owner[e0] >= 0:
             continue
+        cid = len(cycles)
         start = x = 2 * e0 + 1
-        positions = []
         left_to_right = right_to_left = False
         has_a = has_b = False
         first_side = last_side = -1  # sides of labeled edges: 0 upper, 1 lower
@@ -176,8 +176,7 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
                 e = (x >> 1) - 1 if x else g - 1
                 y = x - 1 if x else n2 - 1
                 right_to_left = True
-            seen[e] = 1
-            positions.append(e)
+            owner[e] = cid
             if upper_labeled[e]:
                 has_a = True
                 if last_side == 1:
@@ -198,18 +197,16 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
                 break
         if first_side >= 0 and last_side != first_side:
             switches += 1
-        positions.sort()
-        cycles.append(
-            Cycle(
-                len(cycles),
-                tuple(positions),
-                left_to_right and right_to_left,
-                switches or int(first_side >= 0),
-                has_a,
-                has_b,
-            )
-        )
-    return RelationalDiagram(pair, anchor, g, cycles)
+        good = left_to_right and right_to_left
+        cycles.append(Cycle(cid, (), good, switches or int(first_side >= 0), has_a, has_b))
+
+    # One pass over the labels gives every cycle its upper edges, sorted.
+    positions: list[list[int]] = [[] for _ in cycles]
+    for e, c in enumerate(owner):
+        positions[c].append(e)
+    for cyc, ps in zip(cycles, positions):
+        cyc.a_positions = tuple(ps)
+    return RelationalDiagram(pair, anchor, g, cycles, owner)
 
 
 def format_cycle_table(diagram: RelationalDiagram) -> str:

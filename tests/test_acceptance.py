@@ -244,17 +244,23 @@ def test_criterion_6_anchor_invariance():
 
 
 def test_criterion_7_scaling():
+    # as in criterion 8, the sizes are timed round-robin and each timing
+    # starts after a full collection
     rng = random.Random(77)
-    medians = {}
-    for n in (1000, 2000, 4000, 8000):
-        times = []
-        for _ in range(7):
-            pair = random_genome_pair(rng, n, max(1, n // 100), max(1, n // 100))
+    sizes = (1000, 2000, 4000, 8000)
+    pairs = {
+        n: [random_genome_pair(rng, n, max(1, n // 100), max(1, n // 100)) for _ in range(7)]
+        for n in sizes
+    }
+    times: dict[int, list[float]] = {n: [] for n in sizes}
+    for r in range(7):
+        for n in sizes:
+            gc.collect()
             t0 = time.perf_counter()
-            compute_distance(pair)
-            times.append(time.perf_counter() - t0)
-        medians[n] = statistics.median(times)
-    ratios = [medians[2 * n] / medians[n] for n in (1000, 2000, 4000)]
+            compute_distance(pairs[n][r])
+            times[n].append(time.perf_counter() - t0)
+    medians = {n: statistics.median(times[n]) for n in sizes}
+    ratios = [medians[2 * n] / medians[n] for n in sizes[:-1]]
     ok = all(r <= 4.5 for r in ratios) and medians[8000] < 5.0
     _report(
         "7 scaling",

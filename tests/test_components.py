@@ -75,20 +75,23 @@ def test_sweep_matches_pairwise_closure():
     # interleaving components equal the transitive closure of the pairwise
     # relation, recomputed independently.  The sweep skips the edges of
     # one-edge cycles: the structured pairs are full of them, and pairs
-    # with none are checked too
+    # with none are checked too.  It also skips every position of a run of
+    # equal owners but the first: pairs with such runs are checked as well
     rng = random.Random(11)
     pairs = [
         random_genome_pair(rng, rng.randint(2, 9), rng.randint(0, 2), rng.randint(0, 2))
         for _ in range(300)
     ]
     pairs += [structured_genome_pair(rng, rng.randint(1, 8)) for _ in range(20)]
-    with_lone = without_lone = 0
+    with_lone = without_lone = with_runs = 0
     for pair in pairs:
         d = build_relational_diagram(pair, sorted(pair.common)[0])
         comps = find_components(d)
         lone = sum(len(c.a_positions) == 1 for c in d.cycles)
         with_lone += lone > 0
         without_lone += lone == 0
+        owner = d.cycle_of_a_edge()
+        with_runs += any(owner[p] == owner[p - 1] for p in range(1, d.g_count))
         # brute closure
         n = d.c
         parent = list(range(n))
@@ -108,7 +111,7 @@ def test_sweep_matches_pairwise_closure():
             want.setdefault(find(i), set()).add(i)
         got = {frozenset(c.cycles) for c in comps}
         assert got == {frozenset(v) for v in want.values()}
-    assert with_lone >= 50 and without_lone >= 50
+    assert with_lone >= 50 and without_lone >= 50 and with_runs >= 50
 
 
 def test_figure_chained_tree_shape():

@@ -4,6 +4,7 @@ import pytest
 
 import reference_diagram
 from invindel.diagram import (
+    _line,
     build_relational_diagram,
     classify_cycle,
     indel_potential,
@@ -11,7 +12,12 @@ from invindel.diagram import (
 )
 from invindel.errors import AnchorNotCommon, OddRunCountAboveOne
 from invindel.genome import LINEAR, Chromosome, cap_linear_pair, classify_markers, parse_chromosome
-from invindel.oracle import OracleBudget, brute_force_distance, random_genome_pair
+from invindel.oracle import (
+    OracleBudget,
+    brute_force_distance,
+    random_genome_pair,
+    structured_genome_pair,
+)
 
 
 def figure_pair():
@@ -113,6 +119,53 @@ def test_dotted_edge_count_invariant():
         assert sorted(p for c in d.cycles for p in c.a_positions) == list(range(d.g_count))
         assert d.c <= d.g_count
 
+
+
+def test_cycle_of_a_edge_matches_positions():
+    # the owner array the walk labels equals the one rebuilt from each
+    # cycle's sorted upper edges
+    rng = random.Random(23)
+    pairs = [
+        random_genome_pair(rng, rng.randint(2, 60), rng.randint(0, 6), rng.randint(0, 6))
+        for _ in range(200)
+    ]
+    pairs += [structured_genome_pair(rng, rng.randint(1, 8)) for _ in range(20)]
+    for pair in pairs:
+        d = build_relational_diagram(pair, sorted(pair.common)[0])
+        owner = [-1] * d.g_count
+        for c in d.cycles:
+            assert list(c.a_positions) == sorted(c.a_positions)
+            for p in c.a_positions:
+                owner[p] = c.id
+        assert d.cycle_of_a_edge() == owner
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a b -c d",  # no exclusive marker
+        "x1 a b -c d",  # before the first common place
+        "a b -c d x1",  # after the last
+        "x1 x2 a -b x3 x4 x5 c d x6 x7",  # runs of several, at both ends
+        "-a x1 b x2 x3 -c d x4",
+        "x1 -a x2",  # one common marker
+        "x1 a x2 x3 -b",
+    ],
+)
+def test_line_gap_flags_match_reference(text):
+    # the gap flags against the reference line, read from every common
+    # marker as the anchor, stored forward or reversed
+    ch = parse_chromosome(text)
+    common = frozenset(n for n in ch.order if not n.startswith("x"))
+    reversed_anchors = 0
+    for anchor in sorted(common):
+        names, forward, gaps, as_stored = _line(ch, common, anchor)
+        ref = reference_diagram._build_line(ch, anchor, common)
+        assert list(gaps) == [int(e.labeled) for e in ref]
+        assert names == [e.left.marker for e in ref]
+        assert [f == as_stored for f in forward] == [e.left.end == "h" for e in ref]
+        reversed_anchors += not as_stored
+    assert reversed_anchors == sum(n.startswith("-") for n in text.split())
 
 def test_no_bad_component_formula_matches_search():
     # when no bad component exists the distance is common - cycles + potentials
