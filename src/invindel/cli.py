@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import components as comp_mod
 from . import diagram as diag_mod
 from .components import ChainedTree, TaggedTree, tagged_tree_for_pair
-from .diagram import RelationalDiagram
+from .diagram import RelationalDiagram, check_anchor
 from .errors import BudgetExceeded, InvindelError
 from .genome import (
     CIRCULAR,
@@ -42,7 +42,8 @@ from .treecover import Cover, analyze_topology, tau_all_clean, tau_shared_tag
 
 @dataclass
 class PipelineRun:
-    """What one circular run built on its way to the distance, for traces."""
+    """What one run on a circular or capped pair built on its way to the
+    distance, for traces."""
 
     diagram: RelationalDiagram
     chained: ChainedTree
@@ -130,6 +131,8 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
         )
     check_distinct(pair.a, pair.b)
     if len(pair.common) <= 1:
+        if anchor is not None:
+            check_anchor(anchor, pair.common)
         return _trivial_report(pair.common, pair.a_only, pair.b_only)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
@@ -180,10 +183,13 @@ def distance_report(
     a: Chromosome, b: Chromosome, anchor: str | None = None
 ) -> DistanceReport:
     """Distance between two chromosomes, handling the trivial regime and
-    linear capping."""
+    linear capping.  An ``anchor`` must be a marker common to ``a`` and
+    ``b`` in every regime."""
     if a.shape != b.shape:
         raise InvindelError("both chromosomes must share the same shape")
     common, a_only, b_only = partition_names(a, b)
+    if anchor is not None:
+        check_anchor(anchor, common)
     if len(common) <= 1:
         return _trivial_report(common, a_only, b_only)
     pair = GenomePair(a, b, common, a_only, b_only)
@@ -259,11 +265,11 @@ def _cmd_dist(args) -> int:
         b = Chromosome.from_columns(b.order, b.forward, LINEAR)
     rep = distance_report(a, b, args.anchor)
     if args.trace:
-        if a.shape != CIRCULAR:
-            print("trace: skipped (linear input)", file=sys.stderr)
-        elif rep.run is None:
+        if rep.run is None:
             print("trace: skipped (at most one common marker)", file=sys.stderr)
         else:
+            if rep.capping:
+                print(f"capping: {rep.capping}")
             _emit_traces(args, rep)
     if args.oracle:
         common, a_only, b_only = partition_names(a, b)

@@ -9,12 +9,13 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from itertools import compress
-from operator import ne
+from operator import eq, ne, not_, or_
 from typing import NamedTuple
 
-from .diagram import RelationalDiagram, build_relational_diagram
+from .diagram import TAG_A_BIT, TAG_B_BIT, RelationalDiagram, build_relational_diagram
 from .errors import InvindelError
 from .genome import GenomePair
 
@@ -26,13 +27,56 @@ GOOD = "good"
 BAD = "bad"
 
 
+# The tag set of each value of the tag bits.
+_TAG_SETS = (frozenset(), frozenset({TAG_A}), frozenset({TAG_B}), frozenset({TAG_A, TAG_B}))
+_BOTH = TAG_A_BIT | TAG_B_BIT
+
+
 class Component(NamedTuple):
+    """One component as a read-only row, built from the columns of
+    ``Components`` on demand."""
+
     id: int
     cycles: tuple[int, ...]
     kind: str
     tags: frozenset[str]
     span: tuple[int, int]  # leftmost/rightmost upper-edge positions
     both_run_cycles: int
+
+
+@dataclass
+class Components:
+    """The components of a diagram as columns, indexed by component id; ids
+    follow the components' leftmost upper edges.  All lists are read only.
+    ``comps[i]`` and iteration give ``Component`` rows, built on first use,
+    for traces and tests."""
+
+    kind: list[str]
+    tags: list[int]  # tag bits, as the diagram's cycles carry them
+    left: list[int]  # leftmost upper edge
+    right: list[int]  # rightmost upper edge
+    both: list[int]  # cycles carrying both run types
+    of_cycle: list[int]  # the component of each cycle
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    @cached_property
+    def rows(self) -> list[Component]:
+        members: list[list[int]] = [[] for _ in self.kind]
+        for cyc, k in enumerate(self.of_cycle):
+            members[k].append(cyc)
+        columns = zip(members, self.kind, self.tags, self.left, self.right, self.both)
+        return [
+            Component(k, tuple(ms), kind, _TAG_SETS[t], (lo, hi), both)
+            for k, (ms, kind, t, lo, hi, both) in enumerate(columns)
+        ]
+
+    def __getitem__(self, i: int) -> Component:
+        return self.rows[i]
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 class _UnionFind:
@@ -47,16 +91,26 @@ class _UnionFind:
         return x
 
     def union(self, x: int, y: int) -> int:
+        """Join the sets of x and y under the smaller of their roots."""
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+        if rx > ry:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
         return rx
 
+    def roots(self) -> list[int]:
+        """The root of every element.  A parent is never larger than its
+        child, so one left-to-right pass over the non-roots resolves them."""
+        p = self.parent
+        for x in compress(range(len(p)), map(ne, p, range(len(p)))):
+            p[x] = p[p[x]]
+        return p
 
-def _sweep_interleaving(
-    owner: list[int], positions: list[tuple[int, ...]]
-) -> _UnionFind:
-    """Connected components of the interleaving relation over edge owners.
+
+def _sweep_interleaving(owner: list[int], first: list[int], last: list[int]) -> _UnionFind:
+    """Connected components of the interleaving relation over edge owners;
+    ``first`` and ``last`` hold each cycle's leftmost and rightmost upper
+    edge.  Each set's root is its leftmost cycle.
 
     Left-to-right sweep with a stack of open spans.  Two distinct
     components cannot have crossing spans (crossing implies interleaving),
@@ -69,12 +123,11 @@ def _sweep_interleaving(
     of a one-edge cycle is skipped: its span crosses no other, and the next
     visited position pops the spans that end before it as well.
     """
-    uf = _UnionFind(len(positions))
-    root_max = [ps[-1] for ps in positions]
+    uf = _UnionFind(len(first))
+    root_max = list(last)
     visit = bytearray(map(ne, owner, [-1, *owner]))  # where each run starts
-    for ps in positions:
-        if len(ps) == 1:
-            visit[ps[0]] = 0
+    for e in compress(first, map(eq, first, last)):
+        visit[e] = 0
     sweep = compress(range(len(owner)), visit)
 
     def union(a: int, b: int) -> int:
@@ -115,69 +168,46 @@ def _sweep_interleaving(
     return uf
 
 
-def _group_interleaving(diagram: RelationalDiagram) -> list[list[int]]:
-    cycles = diagram.cycles
-    uf = _sweep_interleaving(
-        diagram.cycle_of_a_edge(), [c.a_positions for c in cycles]
-    )
-    # Cycle ids follow the first upper edge, so each group is met first at
-    # its leftmost cycle and the groups come out in left-to-right order.
-    groups: dict[int, list[int]] = {}
-    find = uf.find
-    for i in range(len(cycles)):
-        root = find(i)
-        if root in groups:
-            groups[root].append(i)
-        else:
-            groups[root] = [i]
-    return list(groups.values())
-
-
-_TAG_SETS = {
-    (False, False): frozenset(),
-    (True, False): frozenset({TAG_A}),
-    (False, True): frozenset({TAG_B}),
-    (True, True): frozenset({TAG_A, TAG_B}),
-}
-
-
-def find_components(diagram: RelationalDiagram) -> list[Component]:
+def find_components(diagram: RelationalDiagram) -> Components:
     """Group cycles into components, classify them, and attach tags.
 
     A cycle with four or more runs can always be turned good by costless
     neutral inversions, and two both-run cycles in one component merge into
     a good cycle by a costless joint inversion; components made good that
     way never need cutting, so they are classified good here.
+
+    Each component is its union-find root, its leftmost cycle; cycle ids
+    follow first edges, so the roots are met in left-to-right order.  The
+    other cycles of a component fold into its root's entries.  A one-edge
+    cycle interleaves with nothing, so it alone is a trivial component.
     """
-    cycles = diagram.cycles
-    comps: list[Component] = []
-    for comp_id, ids in enumerate(_group_interleaving(diagram)):
-        if len(ids) == 1:
-            c = cycles[ids[0]]
-            pos = c.a_positions
-            a, b = c.has_a_run, c.has_b_run
-            if len(pos) == 1:
-                kind = TRIVIAL
-            elif c.good or c.runs >= 4:
-                kind = GOOD
-            else:
-                kind = BAD
-            comps.append(
-                Component(comp_id, (c.id,), kind, _TAG_SETS[a, b], (pos[0], pos[-1]), int(a and b))
-            )
-            continue
-        members = [cycles[i] for i in ids]
-        a = b = good = False
-        both = 0
-        for c in members:
-            a |= c.has_a_run
-            b |= c.has_b_run
-            good |= c.good or c.runs >= 4
-            both += c.has_a_run and c.has_b_run
-        span = (members[0].a_positions[0], max(c.a_positions[-1] for c in members))
-        kind = GOOD if good or both >= 2 else BAD
-        comps.append(Component(comp_id, tuple(ids), kind, _TAG_SETS[a, b], span, both))
-    return comps
+    first, last, tags = diagram.first, diagram.last, diagram.tags
+    n = len(first)
+    roots = _sweep_interleaving(diagram.owner, first, last).roots()
+    index: dict[int, int] = {}
+    of_cycle = [index.setdefault(r, len(index)) for r in roots]
+    is_root = bytes(map(eq, roots, range(n)))
+
+    # Entries per cycle; each cycle that is not a root folds into its root's.
+    good = [g or runs >= 4 for g, runs in zip(diagram.good, diagram.runs)]
+    comp_tags = list(tags)
+    right = list(last)
+    both = [t // _BOTH for t in tags]  # 1 where both tag bits are set
+    for i in compress(range(n), map(not_, is_root)):
+        r = roots[i]
+        good[r] |= good[i]
+        comp_tags[r] |= tags[i]
+        right[r] = max(right[r], last[i])
+        both[r] += both[i]
+    # The roots' entries are the components'.
+    left = list(compress(first, is_root))
+    right = list(compress(right, is_root))
+    both = list(compress(both, is_root))
+    kind = [
+        TRIVIAL if lo == hi else GOOD if g or b >= 2 else BAD
+        for lo, hi, g, b in zip(left, right, compress(good, is_root), both)
+    ]
+    return Components(kind, list(compress(comp_tags, is_root)), left, right, both, of_cycle)
 
 
 @dataclass
@@ -190,7 +220,7 @@ class ChainedTree:
     the right of the component it nests in.
     """
 
-    components: list[Component]
+    components: Components
     chains: list[list[int]]  # component ids, left to right
     chain_parent: list[int | None]  # nesting component id per chain
     root_chain: int
@@ -207,25 +237,20 @@ class ChainedTree:
         return parent + self.chain_parent
 
 
-def build_chained_tree(components: list[Component], diagram: RelationalDiagram) -> ChainedTree:
+def build_chained_tree(components: Components, diagram: RelationalDiagram) -> ChainedTree:
+    """Chain the components and nest the chains.  Only the upper edges next
+    to a span's ends are looked up, each through its cycle's component."""
     n = diagram.g_count
-    cycles = diagram.cycles
-    comp_of_edge = [-1] * n
-    for comp in components:
-        cid = comp.id
-        for cyc_id in comp.cycles:
-            for p in cycles[cyc_id].a_positions:
-                comp_of_edge[p] = cid
-
-    m = len(components)
+    owner, of_cycle = diagram.owner, components.of_cycle
+    left, right = components.left, components.right
+    m = len(left)
     succ = [-1] * m
     has_pred = bytearray(m)
-    for comp in components:
-        right = comp.span[1] + 1
-        if right < n:
-            nxt = comp_of_edge[right]
-            if components[nxt].span[0] == right:
-                succ[comp.id] = nxt
+    for c, end in enumerate(right):
+        if end + 1 < n:
+            nxt = of_cycle[owner[end + 1]]
+            if left[nxt] == end + 1:
+                succ[c] = nxt
                 has_pred[nxt] = 1
 
     chains: list[list[int]] = []
@@ -240,11 +265,10 @@ def build_chained_tree(components: list[Component], diagram: RelationalDiagram) 
     chain_parent: list[int | None] = []
     roots = []
     for ci, chain in enumerate(chains):
-        left = components[chain[0]].span[0]
-        right = components[chain[-1]].span[1]
+        lo, hi = left[chain[0]], right[chain[-1]]
         parent = None
-        if left > 0 and right + 1 < n and comp_of_edge[left - 1] == comp_of_edge[right + 1]:
-            parent = comp_of_edge[left - 1]
+        if lo > 0 and hi + 1 < n and of_cycle[owner[lo - 1]] == of_cycle[owner[hi + 1]]:
+            parent = of_cycle[owner[lo - 1]]
         chain_parent.append(parent)
         if parent is None:
             roots.append(ci)
@@ -301,13 +325,12 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     contraction.
     """
     comps = tree.components
-    if sum(c.both_run_cycles for c in comps) < 2:
+    both = comps.both
+    if sum(both) < 2:
         return tree
-    span = spanning_subtree(tree.parent_array(), [c.id for c in comps if c.both_run_cycles])
-    new_components = [
-        c._replace(kind=GOOD) if c.kind == BAD and c.id in span else c for c in comps
-    ]
-    return ChainedTree(new_components, tree.chains, tree.chain_parent, tree.root_chain)
+    span = spanning_subtree(tree.parent_array(), list(compress(range(len(both)), both)))
+    kind = [GOOD if k == BAD and c in span else k for c, k in enumerate(comps.kind)]
+    return ChainedTree(replace(comps, kind=kind), tree.chains, tree.chain_parent, tree.root_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +652,8 @@ def flower_contract(tree: ChainedTree) -> TaggedTree:
     """
     comps = tree.components
     m = len(comps)
-    bad = [c.kind == BAD for c in comps]
+    bad = [k == BAD for k in comps.kind]
+    bits = comps.tags
     # per block: its square heading it, its good components, its bad neighbours
     blocks: list[tuple[int, list[int], list[int]]] = []
     block_of: list[tuple | None] = [None] * m  # good component -> the block it joined
@@ -650,21 +674,22 @@ def flower_contract(tree: ChainedTree) -> TaggedTree:
 
     gained: dict[int, list[int]] = {}  # bad component -> neighbours in place of blocks
     folded: dict[int, list[int]] = {}  # bad component -> blocks folded into it
-    block_tags: list[frozenset[str]] = []
+    block_bits: list[int] = []
     out: dict[int, tuple[TreeNode, tuple[int, ...]]] = {}
     for b, (square, good, bads) in enumerate(blocks):
-        tags = frozenset().union(*[comps[c].tags for c in good])
-        block_tags.append(tags)
+        t = reduce(or_, map(bits.__getitem__, good), 0)
+        block_bits.append(t)
+        tags = _TAG_SETS[t]
         root = _settle(b, good or (square,), tags, bads, gained, folded)
         if root is not None:
             out[root] = TreeNode(False, tags, frozenset(good)), tuple(sorted(bads))
     for c in compress(range(m), bad):
-        tags, src = comps[c].tags, frozenset((c,))
+        t, src = bits[c], frozenset((c,))
         into = folded.get(c)
         if into:
-            tags = tags.union(*[block_tags[b] for b in into])
+            t = reduce(or_, map(block_bits.__getitem__, into), t)
             src = src.union(*[blocks[b][1] for b in into])
-        out[c] = TreeNode(True, tags, src), tuple(sorted(gained.get(c, ())))
+        out[c] = TreeNode(True, _TAG_SETS[t], src), tuple(sorted(gained.get(c, ())))
     order = sorted(out)
     return TaggedTree({u: out[u][0] for u in order}, {u: out[u][1] for u in order})
 

@@ -18,16 +18,18 @@ extremity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from operator import not_, xor
+from typing import NamedTuple
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
 from .genome import Chromosome, GenomePair
 
 
-@dataclass(slots=True)
-class Cycle:
-    """A cycle of the diagram, summarized by the walk that found it."""
+class Cycle(NamedTuple):
+    """One cycle of the diagram as a read-only row, built from the
+    diagram's columns on demand (see ``RelationalDiagram.cycles``)."""
 
     id: int
     a_positions: tuple[int, ...]  # its upper edges, sorted
@@ -110,29 +112,55 @@ def _line(ch: Chromosome, common: frozenset[str], anchor: str):
     )
 
 
+# Tag bits of a cycle or a component: which genomes' runs of labeled edges
+# it holds.
+TAG_A_BIT = 1
+TAG_B_BIT = 2
+
+
 @dataclass
 class RelationalDiagram:
+    """The diagram's cycles as columns, indexed by cycle id; ids follow
+    the cycles' first upper edges.  All lists are read only."""
+
     pair: GenomePair
     anchor: str
     g_count: int
-    cycles: list[Cycle]
     owner: list[int]  # owner[e]: the id of the cycle that walks upper edge e
+    first: list[int]  # the cycle's leftmost upper edge
+    last: list[int]  # its rightmost upper edge
+    good: list[bool]  # some two upper edges are walked in opposite directions
+    runs: list[int]  # maximal single-genome runs of labeled edges along it
+    tags: list[int]  # TAG_A_BIT | TAG_B_BIT: the genomes whose runs it holds
 
     @property
     def c(self) -> int:
-        return len(self.cycles)
+        return len(self.first)
 
     def indel_potential_sum(self) -> int:
-        return sum(indel_potential(c.runs) for c in self.cycles)
+        return sum(map(indel_potential, self.runs))
 
-    def cycle_of_a_edge(self) -> list[int]:
-        """Cycle id per upper edge: the diagram's own list, to read only."""
-        return self.owner
+    @cached_property
+    def cycles(self) -> list[Cycle]:
+        """Every cycle as a row, for traces and tests, built on first use."""
+        positions: list[list[int]] = [[] for _ in self.first]
+        for e, c in enumerate(self.owner):
+            positions[c].append(e)
+        columns = zip(positions, self.good, self.runs, self.tags)
+        return [
+            Cycle(i, tuple(ps), good, runs, bool(t & TAG_A_BIT), bool(t & TAG_B_BIT))
+            for i, (ps, good, runs, t) in enumerate(columns)
+        ]
+
+
+def check_anchor(anchor: str, common: frozenset[str]) -> None:
+    """Raise AnchorNotCommon unless ``anchor`` is one of the ``common`` markers."""
+    if anchor not in common:
+        raise AnchorNotCommon(f"anchor {anchor!r} is not a marker common to both chromosomes")
 
 
 def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram:
-    if anchor not in pair.common:
-        raise AnchorNotCommon(anchor)
+    check_anchor(anchor, pair.common)
     a_names, a_forward, upper_labeled, a_as_stored = _line(pair.a, pair.common, anchor)
     b_names, b_forward, lower_labeled, b_as_stored = _line(pair.b, pair.common, anchor)
     g = len(a_names)
@@ -157,11 +185,14 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
     # left end of its first upper edge, and walks that edge first.  The walk
     # labels each upper edge with its cycle.
     owner = [-1] * g
-    cycles: list[Cycle] = []
+    first: list[int] = []
+    goods: list[bool] = []
+    runs: list[int] = []
+    tags: list[int] = []
     for e0 in range(g):
         if owner[e0] >= 0:
             continue
-        cid = len(cycles)
+        cid = len(first)
         start = x = 2 * e0 + 1
         left_to_right = right_to_left = False
         has_a = has_b = False
@@ -197,16 +228,15 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
                 break
         if first_side >= 0 and last_side != first_side:
             switches += 1
-        good = left_to_right and right_to_left
-        cycles.append(Cycle(cid, (), good, switches or int(first_side >= 0), has_a, has_b))
+        first.append(e0)
+        goods.append(left_to_right and right_to_left)
+        runs.append(switches or int(first_side >= 0))
+        tags.append(has_a | has_b << 1)  # TAG_A_BIT, TAG_B_BIT
 
-    # One pass over the labels gives every cycle its upper edges, sorted.
-    positions: list[list[int]] = [[] for _ in cycles]
-    for e, c in enumerate(owner):
-        positions[c].append(e)
-    for cyc, ps in zip(cycles, positions):
-        cyc.a_positions = tuple(ps)
-    return RelationalDiagram(pair, anchor, g, cycles, owner)
+    # A dict keeps the first place it meets each key and the last value
+    # stored under it; owners are met in id order, at each cycle's first edge.
+    last = list(dict(zip(owner, range(g))).values())
+    return RelationalDiagram(pair, anchor, g, owner, first, last, goods, runs, tags)
 
 
 def format_cycle_table(diagram: RelationalDiagram) -> str:

@@ -6,9 +6,12 @@ carriers and the subtree spanning a set of tree nodes found by pruning
 leaves until none is left to prune, contraction
 run as a fixpoint loop over merged good blocks, and tree paths found by
 breadth-first search.  They rebuild every node they touch, which makes
-them quadratic on large trees, and simple enough to trust.  The
-pairwise interleaving test ``cycles_interleave`` lives here too: the
-sweep in ``invindel.components`` replaces it.
+them quadratic on large trees, and simple enough to trust.  Components
+are the transitive closure of the pairwise interleaving test
+``cycles_interleave`` over the diagram's ``Cycle`` rows, which the sweep
+in ``invindel.components`` replaces.  The layer works on ``Component``
+rows; ``chained_tree`` builds the columns a ``ChainedTree`` holds from
+them.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from invindel.components import (
     TRIVIAL,
     ChainedTree,
     Component,
+    Components,
     TaggedTree,
     TreeNode,
-    _sweep_interleaving,
 )
-from invindel.diagram import Cycle, RelationalDiagram
+from invindel.diagram import TAG_A_BIT, TAG_B_BIT, Cycle, RelationalDiagram
 
 
 def cycles_interleave(c1: Cycle, c2: Cycle) -> bool:
@@ -41,13 +44,28 @@ def cycles_interleave(c1: Cycle, c2: Cycle) -> bool:
 
 def find_components(diagram: RelationalDiagram) -> list[Component]:
     cycles = diagram.cycles
-    uf = _sweep_interleaving(diagram.cycle_of_a_edge(), [c.a_positions for c in cycles])
-    grouped: dict[int, list[int]] = {}
+    # Only cycles with two or more upper edges interleave with any other.
+    long = [c for c in cycles if len(c.a_positions) >= 2]
+    linked: dict[int, list[int]] = {c.id: [] for c in cycles}
+    for i, c1 in enumerate(long):
+        for c2 in long[i + 1 :]:
+            if cycles_interleave(c1, c2):
+                linked[c1.id].append(c2.id)
+                linked[c2.id].append(c1.id)
+    groups: list[list[int]] = []
+    grouped: set[int] = set()
     for cyc in cycles:
-        grouped.setdefault(uf.find(cyc.id), []).append(cyc.id)
-    groups = sorted(
-        grouped.values(), key=lambda ids: min(cycles[i].a_positions[0] for i in ids)
-    )
+        if cyc.id in grouped:
+            continue
+        group = [cyc.id]
+        grouped.add(cyc.id)
+        for x in group:
+            for y in linked[x]:
+                if y not in grouped:
+                    grouped.add(y)
+                    group.append(y)
+        groups.append(group)
+    groups.sort(key=lambda ids: min(cycles[i].a_positions[0] for i in ids))
     comps: list[Component] = []
     for comp_id, ids in enumerate(groups):
         members = [cycles[i] for i in ids]
@@ -70,6 +88,35 @@ def find_components(diagram: RelationalDiagram) -> list[Component]:
         )
         comps.append(Component(comp_id, tuple(sorted(ids)), kind, frozenset(tags), span, both))
     return comps
+
+
+def components_of(rows: list[Component]) -> Components:
+    """The columns of a list of ``Component`` rows, row ``i`` holding id ``i``."""
+    of_cycle = [0] * sum(len(c.cycles) for c in rows)
+    for c in rows:
+        for cyc in c.cycles:
+            of_cycle[cyc] = c.id
+    bits = {
+        frozenset(): 0,
+        frozenset({TAG_A}): TAG_A_BIT,
+        frozenset({TAG_B}): TAG_B_BIT,
+        frozenset({TAG_A, TAG_B}): TAG_A_BIT | TAG_B_BIT,
+    }
+    return Components(
+        [c.kind for c in rows],
+        [bits[c.tags] for c in rows],
+        [c.span[0] for c in rows],
+        [c.span[1] for c in rows],
+        [c.both_run_cycles for c in rows],
+        of_cycle,
+    )
+
+
+def chained_tree(
+    rows: list[Component], chains: list[list[int]], chain_parent: list[int | None], root: int = 0
+) -> ChainedTree:
+    """A chained tree over components given as rows."""
+    return ChainedTree(components_of(rows), chains, chain_parent, root)
 
 
 def _chained_adjacency(tree: ChainedTree) -> dict[tuple, set[tuple]]:
@@ -118,7 +165,7 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
     for kind, ident in keep:
         if kind == "round" and new_components[ident].kind == BAD:
             new_components[ident] = new_components[ident]._replace(kind=GOOD)
-    return ChainedTree(new_components, tree.chains, tree.chain_parent, tree.root_chain)
+    return chained_tree(new_components, tree.chains, tree.chain_parent, tree.root_chain)
 
 
 def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:

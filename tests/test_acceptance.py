@@ -216,7 +216,7 @@ def _boundary_component_wraps(pair: GenomePair, anchor: str) -> bool:
     diagram = build_relational_diagram(pair, anchor)
     comps = find_components(diagram)
     comp_of_cycle = {c: comp.id for comp in comps for c in comp.cycles}
-    owner = diagram.cycle_of_a_edge()
+    owner = diagram.owner
     return len(comps) >= 2 and comp_of_cycle[owner[0]] == comp_of_cycle[owner[-1]]
 
 

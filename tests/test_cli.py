@@ -6,7 +6,7 @@ import pytest
 from conftest import bt
 
 from invindel.cli import build_parser, compute_distance, distance_report, main, tau_star
-from invindel.errors import InvindelError
+from invindel.errors import AnchorNotCommon, InvindelError
 from invindel.genome import LINEAR, classify_markers, parse_chromosome
 
 FIG_A = "a t j b d f e g -c h i u k v o n l m"
@@ -181,16 +181,56 @@ def test_compute_distance_rejects_linear():
 
 
 def test_cli_trace_skip_reasons(tmp_path, capsys):
+    # linear input is traced: the capping the report chose, then its run
     path = tmp_path / "lin.txt"
     path.write_text(">linear\na b c\nc b a\n")
     assert main(["dist", str(path), "--trace", "all"]) == 0
     captured = capsys.readouterr()
-    assert "trace: skipped (linear input)" in captured.err
+    assert "trace: skipped" not in captured.err
+    assert captured.out.startswith("capping: as-read\n== diagram ==\nanchor: __cap ")
+    assert "== cover ==" in captured.out
     assert "distance: 3" in captured.out
+    assert captured.out.endswith("capping: as-read\n")
 
     path.write_text("a x\na y\n")
     assert main(["dist", str(path), "--trace", "all"]) == 0
     assert "trace: skipped (at most one common marker)" in capsys.readouterr().err
+
+
+def test_anchor_not_common_trivial_regime():
+    a, b = parse_chromosome("a x"), parse_chromosome("a y")
+    assert distance_report(a, b, "a").distance == 2
+    for anchor in ("x", "zz"):
+        with pytest.raises(AnchorNotCommon, match=f"anchor '{anchor}' is not a marker common"):
+            distance_report(a, b, anchor)
+
+
+def test_anchor_not_common_circular_regime():
+    a, b = parse_chromosome(FIG_A), parse_chromosome(FIG_B)
+    for anchor in ("t", "w", "zz"):
+        with pytest.raises(AnchorNotCommon, match=f"anchor '{anchor}' is not a marker common"):
+            distance_report(a, b, anchor)
+
+
+def test_anchor_not_common_linear_regime():
+    a = parse_chromosome("a -c x b d", LINEAR)
+    b = parse_chromosome("d y c -b a e", LINEAR)
+    assert distance_report(a, b, "c").anchor == "c"
+    # the cap marker is the capping's own, not the input's
+    for anchor in ("__cap", "x", "e", "zz"):
+        with pytest.raises(AnchorNotCommon, match=f"anchor '{anchor}' is not a marker common"):
+            distance_report(a, b, anchor)
+
+
+def test_cli_anchor_not_common_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    for text, anchor in [("a x\na y\n", "zz"), ("a b c\nc b a\n", "__cap")]:
+        path.write_text(text)
+        for extra in ([], ["--linear"]):
+            assert main(["dist", str(path), "--anchor", anchor, *extra]) == 1
+            assert capsys.readouterr().err == (
+                f"error: anchor '{anchor}' is not a marker common to both chromosomes\n"
+            )
 
 
 def test_cli_error_exit(tmp_path, capsys):

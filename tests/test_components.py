@@ -1,5 +1,6 @@
 import random
 
+import pytest
 import reference_tree
 from conftest import bt, canon
 
@@ -90,7 +91,7 @@ def test_sweep_matches_pairwise_closure():
         lone = sum(len(c.a_positions) == 1 for c in d.cycles)
         with_lone += lone > 0
         without_lone += lone == 0
-        owner = d.cycle_of_a_edge()
+        owner = d.owner
         with_runs += any(owner[p] == owner[p - 1] for p in range(1, d.g_count))
         # brute closure
         n = d.c
@@ -260,3 +261,29 @@ def test_reduce_by_paths_support_maps_back():
     assert set(reduced.bad_nodes()) <= {4, 5}
     for new, olds in support.items():
         assert olds <= set(tree.nodes)
+
+
+def test_pipeline_builds_no_rows(monkeypatch):
+    # the pipeline reads the diagram's and the components' columns only:
+    # Cycle and Component rows are for traces and tests
+    from invindel.cli import distance_report
+    from invindel.components import Component
+    from invindel.diagram import Cycle
+    from invindel.genome import read_pair_text
+
+    def no_rows(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} row built by the pipeline")
+
+    structured = structured_genome_pair(random.Random(31), 12)
+    texts = [
+        "a t j b d f e g -c h i u k v o n l m\na w b c d e f g h x i j y k l z m n o\n",
+        ">linear\na -c x b d\nd y c -b a e\n",
+        f"{structured.a.text()}\n{structured.b.text()}\n",
+    ]
+    monkeypatch.setattr(Cycle, "__new__", no_rows)
+    monkeypatch.setattr(Component, "__new__", no_rows)
+    reports = [distance_report(*read_pair_text(text)) for text in texts]
+    assert [rep.capping for rep in reports] == [None, "as-read", None]
+    assert reports[2].tau_star > 0 and len(reports[2].run.tagged) > 10
+    with pytest.raises(AssertionError, match="Cycle row built"):
+        reports[0].run.diagram.cycles

@@ -121,9 +121,9 @@ def test_dotted_edge_count_invariant():
 
 
 
-def test_cycle_of_a_edge_matches_positions():
+def test_owner_matches_positions():
     # the owner array the walk labels equals the one rebuilt from each
-    # cycle's sorted upper edges
+    # cycle's sorted upper edges, whose ends are the first and last columns
     rng = random.Random(23)
     pairs = [
         random_genome_pair(rng, rng.randint(2, 60), rng.randint(0, 6), rng.randint(0, 6))
@@ -135,9 +135,10 @@ def test_cycle_of_a_edge_matches_positions():
         owner = [-1] * d.g_count
         for c in d.cycles:
             assert list(c.a_positions) == sorted(c.a_positions)
+            assert (c.a_positions[0], c.a_positions[-1]) == (d.first[c.id], d.last[c.id])
             for p in c.a_positions:
                 owner[p] = c.id
-        assert d.cycle_of_a_edge() == owner
+        assert d.owner == owner
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ markers at two), so they are certified here with a wider search budget.
 import itertools
 
 from invindel.cli import compute_distance
+from reference_tree import chained_tree
+
 from invindel.components import (
-    ChainedTree,
     Component,
     build_chained_tree,
     find_components,
@@ -122,7 +123,7 @@ def test_merge_marking_turns_separating_nodes_good():
         Component(1, (1,), "bad", frozenset(), (2, 7), 0),
         Component(2, (2,), "bad", frozenset({"A", "B"}), (4, 5), 1),
     ]
-    tree = ChainedTree(comps, [[0, 1], [2]], [None, 1], 0)
+    tree = chained_tree(comps, [[0, 1], [2]], [None, 1])
     marked = mark_costless_merges(tree)
     assert [c.kind for c in marked.components] == ["good", "good", "good"]
 
@@ -133,7 +134,7 @@ def test_merge_marking_turns_separating_nodes_good():
         Component(1, (1,), "bad", frozenset(), (2, 3), 0),
         Component(2, (2,), "bad", frozenset({"A", "B"}), (4, 5), 1),
     ]
-    tree = ChainedTree(comps, [[0, 1, 2]], [None], 0)
+    tree = chained_tree(comps, [[0, 1, 2]], [None])
     marked = mark_costless_merges(tree)
     assert [c.kind for c in marked.components] == ["good", "bad", "good"]
 
@@ -142,7 +143,7 @@ def test_merge_marking_turns_separating_nodes_good():
         Component(0, (0,), "bad", frozenset({"A", "B"}), (0, 1), 1),
         Component(1, (1,), "bad", frozenset(), (2, 3), 0),
     ]
-    tree = ChainedTree(comps, [[0, 1]], [None], 0)
+    tree = chained_tree(comps, [[0, 1]], [None])
     marked = mark_costless_merges(tree)
     assert [c.kind for c in marked.components] == ["bad", "bad"]
 

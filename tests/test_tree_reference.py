@@ -126,7 +126,7 @@ def _chained(kinds: str, tags: list[str], chains, chain_parent) -> ChainedTree:
         Component(c, (c,), kind[k], frozenset(t), (c, c), 0)
         for c, (k, t) in enumerate(zip(kinds, tags))
     ]
-    return ChainedTree(comps, chains, chain_parent, 0)
+    return reference_tree.chained_tree(comps, chains, chain_parent)
 
 
 def test_flower_contract_edge_shapes():
@@ -289,7 +289,7 @@ def _random_chained_tree(rng: random.Random) -> ChainedTree:
                 make_chain(cid, depth - 1)
 
     make_chain(None, 4)
-    return ChainedTree(comps, chains, chain_parent, 0)
+    return reference_tree.chained_tree(comps, chains, chain_parent)
 
 
 def _ancestors(parent: list[int | None], x: int) -> set[int]:
@@ -337,7 +337,7 @@ def test_merge_marking_leaves_the_stem_alone():
         Component(1, (1,), BAD, frozenset({"A", "B"}), (1, 2), 1),
         Component(2, (2,), BAD, frozenset({"A", "B"}), (3, 4), 1),
     ]
-    marked = mark_costless_merges(ChainedTree(comps, [[0], [1, 2]], [None, 0], 0))
+    marked = mark_costless_merges(reference_tree.chained_tree(comps, [[0], [1, 2]], [None, 0]))
     assert [c.kind for c in marked.components] == [BAD, GOOD, GOOD]
 
 
@@ -348,7 +348,7 @@ def test_merge_marking_leaves_the_stem_alone():
 def _check_front_end(pair) -> None:
     d = build_relational_diagram(pair, min(pair.common))
     comps = find_components(d)
-    assert comps == reference_tree.find_components(d)
+    assert list(comps) == reference_tree.find_components(d)
     chained = build_chained_tree(comps, d)
     marked = mark_costless_merges(chained)
     assert marked == reference_tree.mark_costless_merges(chained)
