@@ -8,7 +8,7 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import components as comp_mod
 from . import diagram as diag_mod
@@ -21,8 +21,6 @@ from .genome import (
     Chromosome,
     GenomePair,
     cap_linear_pair,
-    check_distinct,
-    partition_names,
     read_pair_file,
     read_pair_text,
 )
@@ -37,7 +35,7 @@ from .oracle import (
 )
 from .reduction import ResidualResult, compute_residual
 from .residual import known_compositions, optimal_cover_of_residual
-from .treecover import Cover, analyze_topology, tau_all_clean, tau_shared_tag
+from .treecover import Cover, analyze_topology, closed_form
 
 
 @dataclass
@@ -68,35 +66,21 @@ class DistanceReport:
     run: PipelineRun | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "g_count": self.g_count,
-            "cycles": self.cycles,
-            "indel_potential_sum": self.indel_potential_sum,
-            "tau_star": self.tau_star,
-            "anchor": self.anchor,
-            "solo_leaf": self.solo_leaf,
-            "cover": self.cover,
-            "reduction_steps": self.reduction_steps,
-            "case_trace": self.case_trace,
-            "capping": self.capping,
-        }
+        """Every field but ``run``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "run"}
 
 
 def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[str]]:
-    """Minimum cover cost of a tagged tree with a certifying cover."""
+    """Minimum cover cost of a contracted tagged tree with a certifying
+    cover.  Raises InvindelError on a tree that is not contracted."""
     if tree.is_empty:
         return 0, Cover(), None, []
-    leaves = tree.leaves()
-    shared = frozenset.intersection(*(tree.tags(u) for u in leaves))
-    if shared:
-        cost, cover = tau_shared_tag(tree)
+    tree.validate()
+    form = closed_form(tree)
+    if form is not None:
+        cost, cover = form[0](tree)
         cover.validate(tree)
-        return cost, cover, None, ["shared-tag"]
-    if all(not tree.tags(u) for u in leaves):
-        cost, cover = tau_all_clean(tree)
-        cover.validate(tree)
-        return cost, cover, None, ["all-clean"]
+        return cost, cover, None, [form[1]]
     res = compute_residual(tree)
     cover = res.full_cover()
     cover.validate(tree)
@@ -105,16 +89,14 @@ def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[
     return res.total_cost, cover, res, res.case_trace
 
 
-def _trivial_report(
-    common: frozenset[str], a_only: frozenset[str], b_only: frozenset[str]
-) -> DistanceReport:
+def _trivial_report(pair: GenomePair) -> DistanceReport:
     """At most one common marker: delete the exclusive content of one
     chromosome at once and insert the other's at once."""
-    distance = bool(a_only) + bool(b_only)
+    distance = bool(pair.a_only) + bool(pair.b_only)
     return DistanceReport(
         distance=distance,
-        g_count=len(common),
-        cycles=len(common),
+        g_count=len(pair.common),
+        cycles=len(pair.common),
         indel_potential_sum=distance,
         tau_star=0,
         anchor=None,
@@ -124,16 +106,15 @@ def _trivial_report(
 
 def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceReport:
     """Distance between the two circular chromosomes of a classified pair."""
-    if pair.a.shape == LINEAR or pair.b.shape == LINEAR:
+    if pair.a.shape == LINEAR:
         raise InvindelError(
             "compute_distance takes circular chromosomes; "
             "use distance_report for linear ones"
         )
-    check_distinct(pair.a, pair.b)
     if len(pair.common) <= 1:
         if anchor is not None:
             check_anchor(anchor, pair.common)
-        return _trivial_report(pair.common, pair.a_only, pair.b_only)
+        return _trivial_report(pair)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
@@ -184,15 +165,13 @@ def distance_report(
 ) -> DistanceReport:
     """Distance between two chromosomes, handling the trivial regime and
     linear capping.  An ``anchor`` must be a marker common to ``a`` and
-    ``b`` in every regime."""
-    if a.shape != b.shape:
-        raise InvindelError("both chromosomes must share the same shape")
-    common, a_only, b_only = partition_names(a, b)
+    ``b`` in every regime.  A linear pair's report names the ``anchor``
+    given, or none: its circles are cut inside the capped pair."""
+    pair = GenomePair(a, b)
     if anchor is not None:
-        check_anchor(anchor, common)
-    if len(common) <= 1:
-        return _trivial_report(common, a_only, b_only)
-    pair = GenomePair(a, b, common, a_only, b_only)
+        check_anchor(anchor, pair.common)
+    if len(pair.common) <= 1:
+        return _trivial_report(pair)
     if a.shape == CIRCULAR:
         return compute_distance(pair, anchor)
     best = None
@@ -201,6 +180,7 @@ def distance_report(
         rep.capping = "as-read" if i == 0 else "flipped"
         if best is None or rep.distance < best.distance:
             best = rep
+    best.anchor = anchor
     return best
 
 
@@ -272,15 +252,14 @@ def _cmd_dist(args) -> int:
                 print(f"capping: {rep.capping}")
             _emit_traces(args, rep)
     if args.oracle:
-        common, a_only, b_only = partition_names(a, b)
+        pair = GenomePair(a, b)
         budget = OracleBudget(max_common=5, max_exclusive=3)
         if a.shape != CIRCULAR:
             print("oracle: skipped (linear input)", file=sys.stderr)
         elif (
-            len(common) <= budget.max_common
-            and len(a_only) + len(b_only) <= budget.max_exclusive
+            len(pair.common) <= budget.max_common
+            and len(pair.a_only) + len(pair.b_only) <= budget.max_exclusive
         ):
-            pair = GenomePair(a, b, common, a_only, b_only)
             try:
                 exact = brute_force_distance(pair, budget)
             except BudgetExceeded:

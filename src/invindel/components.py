@@ -22,6 +22,15 @@ from .genome import GenomePair
 TAG_A = "A"
 TAG_B = "B"
 
+# The leaf classes and the tag set of each.
+CLASS_TAGS = {
+    "A": frozenset({TAG_A}),
+    "B": frozenset({TAG_B}),
+    "C": frozenset(),
+    "AB": frozenset({TAG_A, TAG_B}),
+}
+_CLASS_OF = {tags: cls for cls, tags in CLASS_TAGS.items()}
+
 TRIVIAL = "trivial"
 GOOD = "good"
 BAD = "bad"
@@ -410,17 +419,10 @@ class TaggedTree:
         return self.nodes[u].bad
 
     def leaf_class(self, u: int) -> str:
-        t = self.nodes[u].tags
-        if t == {TAG_A}:
-            return "A"
-        if t == {TAG_B}:
-            return "B"
-        if not t:
-            return "C"
-        return "AB"
+        return _CLASS_OF[self.nodes[u].tags]
 
     def leaf_classes(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {"A": [], "B": [], "C": [], "AB": []}
+        out: dict[str, list[int]] = {cls: [] for cls in CLASS_TAGS}
         for u in self.leaves():
             out[self.leaf_class(u)].append(u)
         return out

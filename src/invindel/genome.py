@@ -8,7 +8,7 @@ marker names into the common set and the two exclusive sets.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import not_
 from typing import NamedTuple
@@ -200,46 +200,45 @@ def check_distinct(*chromosomes: Chromosome) -> None:
 
 @dataclass(frozen=True)
 class GenomePair:
-    """Two chromosomes plus the partition of marker names."""
+    """Two chromosomes of one shape and the partition of their marker names,
+    derived from them; mixed shapes and repeated names raise."""
 
     a: Chromosome
     b: Chromosome
-    common: frozenset[str]
-    a_only: frozenset[str]
-    b_only: frozenset[str]
+    common: frozenset[str] = field(init=False)
+    a_only: frozenset[str] = field(init=False)
+    b_only: frozenset[str] = field(init=False)
 
-
-def partition_names(
-    a: Chromosome, b: Chromosome
-) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-    """The common, a-only and b-only marker names.
-
-    Raises DuplicateMarker when either chromosome holds a name twice.
-    """
-    check_distinct(a, b)
-    na, nb = a.names(), b.names()
-    common = na & nb
-    return common, na - common, nb - common
+    def __post_init__(self) -> None:
+        if self.a.shape != self.b.shape:
+            raise InvindelError("both chromosomes must share the same shape")
+        check_distinct(self.a, self.b)
+        na, nb = self.a.names(), self.b.names()
+        common = na & nb
+        setattr_ = object.__setattr__
+        setattr_(self, "common", common)
+        setattr_(self, "a_only", na - common)
+        setattr_(self, "b_only", nb - common)
 
 
 def classify_markers(a: Chromosome, b: Chromosome) -> GenomePair:
-    """Split marker names into common and exclusive sets.
+    """The pair of two chromosomes that share at least two markers.
 
     Raises TooFewCommonMarkers when fewer than two markers are shared; that
     regime is handled directly by the top-level distance computation.
     """
-    common, a_only, b_only = partition_names(a, b)
-    if len(common) <= 1:
+    pair = GenomePair(a, b)
+    if len(pair.common) <= 1:
         raise TooFewCommonMarkers(
-            f"only {len(common)} common marker(s); the distance is trivial"
+            f"only {len(pair.common)} common marker(s); the distance is trivial"
         )
-    return GenomePair(a, b, common, a_only, b_only)
+    return pair
 
 
 def _fresh_cap_name(pair: GenomePair) -> str:
     name = "__cap"
     k = 0
-    while name in pair.common or name in pair.a_only or name in pair.b_only:
+    while name in pair.a.names() or name in pair.b.names():
         k += 1
         name = f"__cap{k}"
     return name
@@ -259,12 +258,10 @@ def cap_linear_pair(pair: GenomePair) -> list[GenomePair]:
     b_rev = b.reversed_flipped()
     a_capped = _columns(a.order + (cap,), a.forward + (True,), CIRCULAR, a.names() | {cap})
     b_names = b.names() | {cap}
-    common = pair.common | {cap}
-    out = []
-    for order, forward in ((b.order, b.forward), (b_rev.order, b_rev.forward)):
-        b_capped = _columns(order + (cap,), forward + (True,), CIRCULAR, b_names)
-        out.append(GenomePair(a_capped, b_capped, common, pair.a_only, pair.b_only))
-    return out
+    return [
+        GenomePair(a_capped, _columns(order + (cap,), forward + (True,), CIRCULAR, b_names))
+        for order, forward in ((b.order, b.forward), (b_rev.order, b_rev.forward))
+    ]
 
 
 def read_pair_text(text: str) -> tuple[Chromosome, Chromosome]:

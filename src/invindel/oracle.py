@@ -361,13 +361,7 @@ def random_genome_pair(
             tuple(Marker(nm, rng.random() < 0.5) for nm in order)
         )
 
-    return GenomePair(
-        build(common + a_only),
-        build(common + b_only),
-        frozenset(common),
-        frozenset(a_only),
-        frozenset(b_only),
-    )
+    return GenomePair(build(common + a_only), build(common + b_only))
 
 
 def structured_genome_pair(rng: random.Random, blocks: int) -> GenomePair:

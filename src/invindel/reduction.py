@@ -21,6 +21,7 @@ from .residual import optimal_cover_of_residual
 from .treecover import (
     Cover,
     CoverPath,
+    closed_form,
     compose_support,
     cover_floor,
     cover_tree_with_traversals,
@@ -46,8 +47,6 @@ class ResidualResult:
     steps: list[ReductionStep]
     reduction_cost: int
     solo_leaf: int | None
-    swapped: bool
-    support: dict[int, frozenset[int]]
     lookup_cost: int
     lookup_cover: Cover  # already lifted to input-tree node ids
     case_trace: list[str]
@@ -149,13 +148,12 @@ def essential_leaf(tree: TaggedTree, leaves: list[int]) -> int:
 
 class _Reducer:
     def __init__(self, base: TaggedTree):
-        self.base = base  # lifting target; tags view follows the A/B swap
+        self.base = base  # lifting target
         self.work = base
         self.support = {u: frozenset({u}) for u in base.nodes}
         self.steps: list[ReductionStep] = []
-        self.swapped = False
         # every total this reducer and its forks reach is the cost of a cover
-        # of the input tree; swapping A and B leaves the bound unchanged
+        # of the input tree
         self.floor = cover_floor(base)
 
     def fork(self) -> "_Reducer":
@@ -166,7 +164,7 @@ class _Reducer:
         return other
 
     def class_leaves(self, cls: str) -> list[int]:
-        return [u for u in self.work.leaves() if self.work.leaf_class(u) == cls]
+        return self.work.leaf_classes()[cls]
 
     def apply_pairs(self, pairs: list[tuple[int, int]], kind: str, cls: str) -> None:
         if not pairs:
@@ -178,10 +176,14 @@ class _Reducer:
         self.work, sup = reduce_by_paths(self.work, pairs)
         self.support = compose_support(sup, self.support)
 
-    def swap_ab(self) -> None:
-        self.work = self.work.with_swapped_tags()
-        self.base = self.base.with_swapped_tags()
-        self.swapped = True
+    def three_to_one(self, cls: str, kept: int | None = None) -> None:
+        """Shrink a three-leaf class to the leaf ``kept``, by default its
+        essential leaf, by spending one traversal on the other two."""
+        leaves = self.class_leaves(cls)
+        if kept is None:
+            kept = essential_leaf(self.work, leaves)
+        u, v, *_ = (x for x in leaves if x != kept)
+        self.apply_pairs([(u, v)], "three_to_one", cls)
 
     def reduction_cost(self) -> int:
         return sum(s.cost for s in self.steps)
@@ -194,15 +196,15 @@ def _reduce_tagged_class(r: _Reducer, cls: str) -> None:
         r.apply_pairs(pairs, "balanced_in_traversal", cls)
         leaves = r.class_leaves(cls)
     if len(leaves) == 3:
-        kept = essential_leaf(r.work, leaves)
-        others = [u for u in sorted(leaves) if u != kept]
-        r.apply_pairs([(others[0], others[1])], "three_to_one", cls)
+        r.three_to_one(cls)
 
 
 def _reduce_ab_class(r: _Reducer) -> None:
+    """The AB gates, read with A the larger of the two tagged classes."""
     la, lb, lc, lab = r.work.composition()
     if lab < 3:
         return
+    la, lb = max(la, lb), min(la, lb)
     if lc % 2 == 1:
         lcr = 1
     elif lc > 0:
@@ -215,17 +217,14 @@ def _reduce_ab_class(r: _Reducer) -> None:
     if lab >= 5 or can2:
         pairs = _balanced_pair_plan(r.work, r.class_leaves("AB"), can2)
         r.apply_pairs(pairs, "balanced_in_traversal", "AB")
-    leaves = r.class_leaves("AB")
-    la, lb, _, _ = r.work.composition()
-    if len(leaves) == 3:
-        if (
-            (lb == 0 and la + lcr < 4)
-            or (lcr == 0 and la + lb < 3)
-            or (lb > 0 and lcr > 0 and la + lb + lcr < 4)
-        ):
-            kept = essential_leaf(r.work, leaves)
-            others = [u for u in sorted(leaves) if u != kept]
-            r.apply_pairs([(others[0], others[1])], "three_to_one", "AB")
+    la, lb, _, lab = r.work.composition()
+    la, lb = max(la, lb), min(la, lb)
+    if lab == 3 and (
+        (lb == 0 and la + lcr < 4)
+        or (lcr == 0 and la + lb < 3)
+        or (lb > 0 and lcr > 0 and la + lb + lcr < 4)
+    ):
+        r.three_to_one("AB")
 
 
 def _result_for(branch: _Reducer, solo: int | None, depth: int) -> ResidualResult:
@@ -244,8 +243,6 @@ def _result_for(branch: _Reducer, solo: int | None, depth: int) -> ResidualResul
         steps=branch.steps,
         reduction_cost=branch.reduction_cost(),
         solo_leaf=solo,
-        swapped=branch.swapped,
-        support=branch.support,
         lookup_cost=cost,
         lookup_cover=lifted,
         case_trace=labels,
@@ -272,10 +269,7 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
             pairs = _balanced_pair_plan(branch.work, branch.class_leaves("C"), True, solo=s)
             branch.apply_pairs(pairs, "solo_safe_clean", "C")
         if can1:
-            now = branch.class_leaves("C")
-            kept = essential_leaf(branch.work, now) if s is None else s
-            others = [u for u in sorted(now) if u != kept]
-            branch.apply_pairs([(others[0], others[1])], "three_to_one", "C")
+            branch.three_to_one("C", s)
         result = _result_for(branch, s, depth)
         if best is None or result.total_cost < best.total_cost:
             best = result
@@ -289,9 +283,6 @@ def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
         raise BudgetExceeded("reduction pipeline failed to converge")
     _reduce_tagged_class(r, "A")
     _reduce_tagged_class(r, "B")
-    la, lb, _, _ = r.work.composition()
-    if lb > la:
-        r.swap_ab()
     _reduce_ab_class(r)
     return _clean_phase(r, depth)
 
@@ -299,14 +290,18 @@ def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
 def compute_residual(tree: TaggedTree) -> ResidualResult:
     """Reduce a mixed tagged tree to a residual tree and look up its cover.
 
-    Order: shrink the A class, then B, swap so the A count dominates, apply
-    the AB gates, then run the clean reduction with the solo search, which
-    stops at the input tree's leaf bound.  When a three-to-one reduction
-    exposes a new leaf that leaves the residual composition outside the
-    tables, the phases run again on the smaller tree under the same bound.
-    The returned cover and steps are expressed in the input tree and
-    certify the total cost.
+    Order: shrink the A class, then B, apply the AB gates, then run the
+    clean reduction with the solo search, which stops at the input tree's
+    leaf bound.  When a three-to-one reduction exposes a new leaf that
+    leaves the residual composition outside the tables, the phases run
+    again on the smaller tree under the same bound.  The returned cover and
+    steps are expressed in the input tree and certify the total cost.  A
+    tree whose leaves all share a tag or are all clean raises
+    DegenerateTree, naming its closed form.
     """
     if tree.is_empty or not tree.bad_nodes():
         raise DegenerateTree("nothing to reduce")
+    form = closed_form(tree)
+    if form is not None:
+        raise DegenerateTree(f"{form[1]} tree: {form[0].__name__} gives its cost")
     return _run_pipeline(_Reducer(tree))

@@ -13,21 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .components import TAG_A, TAG_B, TaggedTree, spanning_subtree
+from .components import CLASS_TAGS, TAG_A, TAG_B, TaggedTree, spanning_subtree
 from .errors import (
     OddLeafCount,
     PreconditionViolated,
     ShortPathOnGoodNode,
 )
-
-CLASSES = ("A", "B", "C", "AB")
-
-CLASS_TAGS = {
-    "A": frozenset({TAG_A}),
-    "B": frozenset({TAG_B}),
-    "C": frozenset(),
-    "AB": frozenset({TAG_A, TAG_B}),
-}
 
 
 @dataclass(frozen=True)
@@ -234,6 +225,17 @@ def tau_all_clean(tree: TaggedTree) -> tuple[int, Cover]:
     return ell + 1, _odd_cover(tree, leaves[0], leaves[1])
 
 
+def closed_form(tree: TaggedTree):
+    """The closed form of the tree's cover cost and its trace label, or None
+    unless every leaf shares a tag or every leaf is clean."""
+    la, lb, lc, lab = tree.composition()
+    if not lc and not (la and lb):
+        return tau_shared_tag, "shared-tag"
+    if not la + lb + lab:
+        return tau_all_clean, "all-clean"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Lifting covers through reductions
 
@@ -307,7 +309,7 @@ class Topology:
 
     def class_leaves(self, classes: frozenset) -> list[int]:
         out: list[int] = []
-        for c in CLASSES:
+        for c in CLASS_TAGS:
             if c in classes:
                 out.extend(self.classes[c])
         return out
@@ -319,7 +321,7 @@ class Topology:
         return self._subtrees[key]
 
     def complement_classes(self, classes) -> frozenset:
-        return frozenset(c for c in CLASSES if self.classes[c]) - frozenset(classes)
+        return frozenset(c for c in CLASS_TAGS if self.classes[c]) - frozenset(classes)
 
     def link_nodes(self, x, y) -> list[int] | None:
         """Nodes strictly between two disjoint partition subtrees, ordered
@@ -350,7 +352,7 @@ class Topology:
 
     @property
     def fully_corooted(self) -> bool:
-        present = [c for c in CLASSES if self.classes[c]]
+        present = [c for c in CLASS_TAGS if self.classes[c]]
         for c in present:
             if self.isolated({c}):
                 return False
@@ -362,7 +364,7 @@ class Topology:
 
     @property
     def fully_separated(self) -> bool:
-        present = [c for c in CLASSES if self.classes[c]]
+        present = [c for c in CLASS_TAGS if self.classes[c]]
         if len(present) < 2:
             return False
         for c in present:
@@ -429,7 +431,7 @@ def analyze_topology(tree: TaggedTree) -> TopologyReport:
     if tree.is_empty:
         raise PreconditionViolated("empty tree")
     topo = Topology(tree)
-    present = [c for c in CLASSES if topo.classes[c]]
+    present = [c for c in CLASS_TAGS if topo.classes[c]]
     links: dict[tuple[str, str], str] = {}
     for i, x in enumerate(present):
         for y in present[i + 1:]:

@@ -78,6 +78,19 @@ def test_tau_star_dispatch():
     assert tau_star(TaggedTree({}, {}))[0] == 0
 
 
+def test_tau_star_rejects_an_uncontracted_tree():
+    # a good leaf survives no contraction; read as it stands, the reduction
+    # priced this tree at 2 where one path covers it
+    from invindel.components import TaggedTree, contract
+    from invindel.oracle import brute_force_tau
+
+    tree = TaggedTree.from_spec({0: "bA", 1: "gAB", 2: "bAB", 3: "bB"}, [(1, 0), (2, 0), (3, 0)])
+    assert brute_force_tau(tree) == 1
+    with pytest.raises(InvindelError, match="good leaf 1 survived contraction"):
+        tau_star(tree)
+    assert tau_star(contract(tree)[0])[0] == 1
+
+
 def test_report_lower_bound_invariant():
     rep = compute_distance(classify_markers(parse_chromosome(FIG_A), parse_chromosome(FIG_B)))
     assert rep.distance >= rep.g_count - rep.cycles + rep.indel_potential_sum
@@ -222,6 +235,22 @@ def test_anchor_not_common_linear_regime():
             distance_report(a, b, anchor)
 
 
+def test_linear_report_names_the_anchor_given(tmp_path, capsys):
+    # the capped pair is cut at its own cap marker, which no report names
+    a, b = parse_chromosome("a b c", LINEAR), parse_chromosome("c b a", LINEAR)
+    rep = distance_report(a, b)
+    assert rep.anchor is None and rep.run.diagram.anchor == "__cap"
+    assert distance_report(a, b, "b").anchor == "b"
+    path = tmp_path / "lin.txt"
+    path.write_text("a b c\nc b a\n")
+    assert main(["dist", str(path), "--linear", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["anchor"] is None
+    assert main(["dist", str(path), "--linear"]) == 0
+    assert "anchor" not in capsys.readouterr().out
+    assert main(["dist", str(path), "--linear", "--anchor", "c"]) == 0
+    assert "anchor: c\n" in capsys.readouterr().out
+
+
 def test_cli_anchor_not_common_exits_with_error(tmp_path, capsys):
     path = tmp_path / "g.txt"
     for text, anchor in [("a x\na y\n", "zz"), ("a b c\nc b a\n", "__cap")]:
@@ -316,11 +345,5 @@ def test_distance_invariant_under_relabeling():
         def rn(ch: Chromosome) -> Chromosome:
             return Chromosome(tuple(Marker(renamed[m.name], m.forward) for m in ch.markers))
 
-        mapped = GenomePair(
-            rn(pair.a),
-            rn(pair.b),
-            frozenset(renamed[n] for n in pair.common),
-            frozenset(renamed[n] for n in pair.a_only),
-            frozenset(renamed[n] for n in pair.b_only),
-        )
+        mapped = GenomePair(rn(pair.a), rn(pair.b))
         assert compute_distance(pair).distance == compute_distance(mapped).distance

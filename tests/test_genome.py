@@ -5,6 +5,7 @@ import pytest
 from invindel.errors import (
     DuplicateMarker,
     EmptyInput,
+    InvindelError,
     MalformedToken,
     NotLinear,
     TooFewCommonMarkers,
@@ -13,6 +14,7 @@ from invindel.genome import (
     CIRCULAR,
     LINEAR,
     Chromosome,
+    GenomePair,
     Marker,
     cap_linear_pair,
     classify_markers,
@@ -70,6 +72,37 @@ def test_classify_markers_identical_content():
 def test_classify_markers_rejects_single_common():
     with pytest.raises(TooFewCommonMarkers):
         classify_markers(parse_chromosome("a x"), parse_chromosome("a y"))
+
+
+def test_genome_pair_derives_its_partition():
+    a, b = parse_chromosome("a b x c"), parse_chromosome("c y -a b z")
+    pair = GenomePair(a, b)
+    assert pair.common == {"a", "b", "c"}
+    assert pair.a_only == {"x"} and pair.b_only == {"y", "z"}
+    # a partition is never stated by hand
+    with pytest.raises(TypeError):
+        GenomePair(a, b, frozenset({"a", "b"}), frozenset(), frozenset())
+    # one common marker is a pair too; only classify_markers refuses it
+    assert GenomePair(parse_chromosome("a x"), parse_chromosome("a y")).common == {"a"}
+
+
+def test_genome_pair_rejects_mixed_shapes_then_repeated_names():
+    lin = parse_chromosome("a b c", LINEAR)
+    with pytest.raises(InvindelError, match="same shape"):
+        GenomePair(lin, parse_chromosome("a c b"))
+    twice = Chromosome((Marker("a"), Marker("b"), Marker("a")))
+    with pytest.raises(InvindelError, match="same shape"):
+        GenomePair(lin, twice)
+    with pytest.raises(DuplicateMarker, match="^a$"):
+        GenomePair(parse_chromosome("a b c"), twice)
+
+
+def test_genome_pair_gives_the_distance_of_its_chromosomes():
+    from invindel.cli import compute_distance
+
+    a, b = parse_chromosome("a b c d"), parse_chromosome("a -c b d")
+    assert compute_distance(GenomePair(a, b)).distance == 2
+    assert compute_distance(classify_markers(a, b)).distance == 2
 
 
 def test_capping_produces_two_circular_pairs():
@@ -198,8 +231,7 @@ def test_marker_is_a_frozen_record():
 
 def test_duplicate_names_rejected_at_every_entry_point():
     # chromosomes built from markers skip the parser's duplicate check
-    from invindel.cli import compute_distance, distance_report
-    from invindel.genome import GenomePair
+    from invindel.cli import distance_report
 
     a, b, c, x = Marker("a"), Marker("b"), Marker("c"), Marker("x")
     inputs = [
@@ -213,9 +245,8 @@ def test_duplicate_names_rejected_at_every_entry_point():
             distance_report(ch_a, ch_b)
         with pytest.raises(DuplicateMarker, match=f"^{name}$"):
             classify_markers(ch_a, ch_b)
-        pair = GenomePair(ch_a, ch_b, ch_a.names() & ch_b.names(), frozenset(), frozenset())
         with pytest.raises(DuplicateMarker, match=f"^{name}$"):
-            compute_distance(pair)
+            GenomePair(ch_a, ch_b)
     linear = [Chromosome(ch.markers, LINEAR) for ch in inputs[1][:2]]
     with pytest.raises(DuplicateMarker, match="^b$"):
         distance_report(*linear)

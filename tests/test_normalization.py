@@ -46,9 +46,7 @@ def test_two_common_markers_with_double_exclusives_exact():
     b = Chromosome(tuple(Marker(n) for n in ["g0", "y0", "g1", "y1"]))
     saw_two_carriers = saw_heavy = False
     for a in _canonicals(common + ["x0", "x1"]):
-        pair = GenomePair(
-            a, b, frozenset(common), frozenset({"x0", "x1"}), frozenset({"y0", "y1"})
-        )
+        pair = GenomePair(a, b)
         d = build_relational_diagram(pair, "g0")
         both = sum(1 for c in d.cycles if c.has_both_runs)
         heavy = any(run_count(c) >= 4 for c in d.cycles)
@@ -108,7 +106,7 @@ def test_merge_flip_instances_keep_invariants():
             compute_distance(pair, anchor=g).distance for g in sorted(pair.common)
         }
         assert len(values) == 1
-        mirrored = GenomePair(pair.b, pair.a, pair.common, pair.b_only, pair.a_only)
+        mirrored = GenomePair(pair.b, pair.a)
         assert compute_distance(mirrored).distance == values.pop()
         if tested >= 25:
             break
@@ -150,11 +148,7 @@ def test_merge_marking_turns_separating_nodes_good():
 
 def test_deletion_label_example():
     pair = GenomePair(
-        Chromosome((Marker("a"), Marker("b"), Marker("x"))),
-        Chromosome((Marker("a"), Marker("b"))),
-        frozenset({"a", "b"}),
-        frozenset({"x"}),
-        frozenset(),
+        Chromosome((Marker("a"), Marker("b"), Marker("x"))), Chromosome((Marker("a"), Marker("b")))
     )
     d = build_relational_diagram(pair, "a")
     assert d.c == 2

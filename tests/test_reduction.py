@@ -182,6 +182,21 @@ def test_compute_residual_rejects_degenerate():
         compute_residual(TaggedTree({}, {}))
 
 
+def test_compute_residual_names_the_closed_form():
+    # trees whose leaves all share a tag or are all clean have a closed form,
+    # which the reduction does not reach: it refuses them at once
+    shared = [
+        bt({0: "bA", 1: "bAB", 2: "bA"}, [(0, 1), (1, 2)]),
+        bt({0: "b", 1: "bA", 2: "bA", 3: "bA"}, [(0, 1), (0, 2), (0, 3)]),
+    ]
+    for tree in shared:
+        with pytest.raises(DegenerateTree, match="tau_shared_tag"):
+            compute_residual(tree)
+    clean = bt({0: "b", 1: "b", 2: "b", 3: "b"}, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(DegenerateTree, match="tau_all_clean"):
+        compute_residual(clean)
+
+
 def test_solo_search_prefers_keeping_solo():
     res = compute_residual(fig.SOLO_I)
     assert res.total_cost == 5

@@ -5,6 +5,7 @@ from conftest import bt
 import trees as fig
 
 from invindel import residual
+from invindel.components import CLASS_TAGS
 from invindel.errors import BudgetExceeded, UnknownComposition
 from invindel.oracle import OracleBudget, brute_force_tau, random_residual_tree
 from invindel.residual import (
@@ -155,3 +156,23 @@ def test_reduction_depth_guard_raises():
     # composition (2, 2, 2, 3) always tries its reduce case, one level deeper
     with pytest.raises(BudgetExceeded):
         optimal_cover_of_residual(fig.L2223_R_V, _depth=1)
+
+
+def test_recipe_costs_follow_the_class_tags():
+    # each path cost of a recipe is a fact of its end classes' tag sets: a
+    # traversal costs 1 between classes sharing a tag and 2 otherwise, and a
+    # semi-path leaves a class that holds the tag it saves on (that the path
+    # costs sum to the case cost is checked with the cost order above)
+    audited = 0
+    for comp, cases in TABLE.items():
+        for cs in cases:
+            if cs.recipe is None:
+                continue
+            audited += 1
+            for spec in cs.recipe:
+                if spec.kind in ("in", "out", "tcov"):
+                    shared = CLASS_TAGS[spec.c1] & CLASS_TAGS[spec.c2]
+                    assert spec.cost == (1 if shared else 2), (comp, cs.label, spec)
+                elif spec.kind == "semi":
+                    assert spec.tag in CLASS_TAGS[spec.c1], (comp, cs.label, spec)
+    assert audited == 153
