@@ -2,7 +2,7 @@
 
 from .cli import DistanceReport, compute_distance, distance_report, tau_star
 from .components import TaggedTree, find_components, flower_contract, tagged_tree_for_pair
-from .diagram import build_relational_diagram, classify_cycle, indel_potential, run_count
+from .diagram import build_relational_diagram, classify_cycle, indel_potential
 from .genome import (
     Chromosome,
     GenomePair,
@@ -43,7 +43,6 @@ __all__ = [
     "optimal_cover_of_residual",
     "parse_chromosome",
     "read_pair_file",
-    "run_count",
     "tagged_tree_for_pair",
     "tau_all_clean",
     "tau_shared_tag",

@@ -89,7 +89,7 @@ def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[
     return res.total_cost, cover, res, res.case_trace
 
 
-def _trivial_report(pair: GenomePair) -> DistanceReport:
+def _trivial_report(pair: GenomePair, anchor: str | None) -> DistanceReport:
     """At most one common marker: delete the exclusive content of one
     chromosome at once and insert the other's at once."""
     distance = bool(pair.a_only) + bool(pair.b_only)
@@ -99,7 +99,7 @@ def _trivial_report(pair: GenomePair) -> DistanceReport:
         cycles=len(pair.common),
         indel_potential_sum=distance,
         tau_star=0,
-        anchor=None,
+        anchor=anchor,
         case_trace=["trivial"],
     )
 
@@ -114,7 +114,7 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
     if len(pair.common) <= 1:
         if anchor is not None:
             check_anchor(anchor, pair.common)
-        return _trivial_report(pair)
+        return _trivial_report(pair, anchor)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
     tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
@@ -171,7 +171,7 @@ def distance_report(
     if anchor is not None:
         check_anchor(anchor, pair.common)
     if len(pair.common) <= 1:
-        return _trivial_report(pair)
+        return _trivial_report(pair, anchor)
     if a.shape == CIRCULAR:
         return compute_distance(pair, anchor)
     best = None

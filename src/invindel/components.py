@@ -349,7 +349,7 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
 class TreeNode(NamedTuple):
     bad: bool
     tags: frozenset[str]
-    src: frozenset[int] = frozenset()
+    src: frozenset[int]  # the components it absorbed, disjoint across a tree
 
 
 class TaggedTree:
@@ -496,6 +496,8 @@ class TaggedTree:
     def validate(self) -> None:
         """Assert the contracted-form invariants."""
         for u, node in self.nodes.items():
+            if not node.src and (node.bad or node.tags):
+                raise InvindelError(f"bad or tagged node {u} has an empty src")
             if not node.bad:
                 if self.degree(u) <= 1:
                     raise InvindelError(f"good leaf {u} survived contraction")
@@ -503,17 +505,8 @@ class TaggedTree:
                     raise InvindelError(f"clean good node {u} of degree 2 survived")
                 if any(not self.nodes[v].bad for v in self.adj[u]):
                     raise InvindelError(f"adjacent good nodes at {u}")
-        if self.nodes:
-            seen = {next(iter(self.nodes))}
-            frontier = list(seen)
-            while frontier:
-                x = frontier.pop()
-                for y in self.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            if seen != set(self.nodes):
-                raise InvindelError("tagged tree is not connected")
+        if sum(p is None for p in self.rooting()[0].values()) > 1:
+            raise InvindelError("tagged tree is not connected")
 
 
 def _settle(b, block, tags: frozenset[str], bads, gained: dict, folded: dict) -> int | None:
@@ -541,14 +534,14 @@ def _settle(b, block, tags: frozenset[str], bads, gained: dict, folded: dict) ->
     return None
 
 
-def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
+def contract(tree: TaggedTree) -> TaggedTree:
     """Flower-contract a tagged tree.
 
     Connected blocks of good nodes merge into single good nodes carrying the
     union of tags; clean good nodes of degree two are spliced out and good
-    leaves fold their tags into the adjacent bad node.  Returns the new tree
-    plus a support map from surviving node ids to the input node ids they
-    absorbed (spliced-out clean blocks are dropped).
+    leaves fold their tags into the adjacent bad node.  A surviving node's
+    ``src`` is the union of the ``src`` sets it absorbed (spliced-out clean
+    blocks are dropped), the one record that lifting reads.
 
     One pass is exact: once the blocks are merged every good node has only
     bad neighbours, and bad nodes are never removed, so splicing or folding
@@ -557,7 +550,7 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
     """
     nodes, adj = tree.nodes, tree.adj
     if not nodes:
-        return TaggedTree({}, {}), {}
+        return TaggedTree({}, {})
 
     block_of: dict[int, int] = {}
     blocks: list[list[int]] = []
@@ -595,7 +588,6 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
 
     out: dict[int, TreeNode] = {}
     out_adj: dict[int, tuple[int, ...]] = {}
-    support: dict[int, frozenset[int]] = {}
     for u, n in nodes.items():
         if n.bad:
             nbrs = [v for v in adj[u] if v not in block_of]
@@ -607,9 +599,6 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
                     n.tags.union(*[merged[b].tags for b in into]),
                     n.src.union(*[merged[b].src for b in into]),
                 )
-                support[u] = frozenset([u, *(x for b in into for x in blocks[b])])
-            else:
-                support[u] = frozenset((u,))
             out[u] = n
             out_adj[u] = tuple(sorted(nbrs))
             continue
@@ -618,13 +607,10 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
             root, nbrs = kept[b]
             out[root] = merged[b]
             out_adj[root] = nbrs
-            support[root] = frozenset(blocks[b])
-    return TaggedTree(out, out_adj), support
+    return TaggedTree(out, out_adj)
 
 
-def reduce_by_paths(
-    tree: TaggedTree, pairs: list[tuple[int, int]]
-) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
+def reduce_by_paths(tree: TaggedTree, pairs: list[tuple[int, int]]) -> TaggedTree:
     """Simultaneous path reduction: every bad node on the given paths turns
     good (tags kept), then the tree is re-contracted."""
     nodes = dict(tree.nodes)

@@ -51,11 +51,6 @@ class Cycle(NamedTuple):
         return self.has_a_run and self.has_b_run
 
 
-def run_count(cycle: Cycle) -> int:
-    """Number of maximal single-genome runs of labeled edges along the cycle."""
-    return cycle.runs
-
-
 def indel_potential(runs: int) -> int:
     """Minimum indels chargeable to a cycle with the given run count."""
     if runs in (0, 1, 2):

@@ -253,7 +253,7 @@ def random_tagged_tree(
             specs[i] = ("b" if bad else "g") + tags
             if i:
                 edges.append((i, rng.randrange(i)))
-        tree, _ = contract(TaggedTree.from_spec(specs, edges))
+        tree = contract(TaggedTree.from_spec(specs, edges))
         if tree.is_empty or len(tree) > max_nodes or len(tree.leaves()) > max_leaves:
             continue
         return tree
@@ -340,7 +340,7 @@ def _residual_attempt(wanted: list[str], rng: random.Random) -> TaggedTree | Non
         edges.append((u, g))
         edges.append((g, v))
 
-    tree, _ = contract(TaggedTree.from_spec(specs, edges))
+    tree = contract(TaggedTree.from_spec(specs, edges))
     if tree.is_empty or len(tree) > 26:
         return None
     return tree

@@ -22,7 +22,6 @@ from .treecover import (
     Cover,
     CoverPath,
     closed_form,
-    compose_support,
     cover_floor,
     cover_tree_with_traversals,
     induced_subtree,
@@ -150,15 +149,14 @@ class _Reducer:
     def __init__(self, base: TaggedTree):
         self.base = base  # lifting target
         self.work = base
-        self.support = {u: frozenset({u}) for u in base.nodes}
         self.steps: list[ReductionStep] = []
         # every total this reducer and its forks reach is the cost of a cover
         # of the input tree
         self.floor = cover_floor(base)
 
     def fork(self) -> "_Reducer":
-        """A branch that shares the trees and the support map, which steps
-        replace and never mutate, and owns a copy of the step list."""
+        """A branch that shares the trees, which steps replace and never
+        mutate, and owns a copy of the step list."""
         other = copy.copy(self)
         other.steps = list(self.steps)
         return other
@@ -169,12 +167,10 @@ class _Reducer:
     def apply_pairs(self, pairs: list[tuple[int, int]], kind: str, cls: str) -> None:
         if not pairs:
             return
-        for u, v in pairs:
-            cost = path_cost(self.work, u, v).cost
-            lifted = lift_paths(self.base, self.support, [CoverPath(u, v, cost)])[0]
-            self.steps.append(ReductionStep(kind, (lifted.u, lifted.v), cost, cls))
-        self.work, sup = reduce_by_paths(self.work, pairs)
-        self.support = compose_support(sup, self.support)
+        paths = [CoverPath(u, v, path_cost(self.work, u, v).cost) for u, v in pairs]
+        for p in lift_paths(self.base, self.work, paths):
+            self.steps.append(ReductionStep(kind, (p.u, p.v), p.cost, cls))
+        self.work = reduce_by_paths(self.work, pairs)
 
     def three_to_one(self, cls: str, kept: int | None = None) -> None:
         """Shrink a three-leaf class to the leaf ``kept``, by default its
@@ -237,7 +233,7 @@ def _result_for(branch: _Reducer, solo: int | None, depth: int) -> ResidualResul
         if solo is not None and sub.solo_leaf is None:
             sub.solo_leaf = solo
         return sub
-    lifted = Cover(lift_paths(branch.base, branch.support, cover.paths))
+    lifted = Cover(lift_paths(branch.base, branch.work, cover.paths))
     return ResidualResult(
         residual=branch.work,
         steps=branch.steps,

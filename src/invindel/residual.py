@@ -853,12 +853,10 @@ def known_compositions() -> list[tuple[int, int, int, int]]:
     return sorted(TABLE)
 
 
-def normalize_ab_swap(tree: TaggedTree) -> tuple[TaggedTree, bool]:
+def normalize_ab_swap(tree: TaggedTree) -> TaggedTree:
     """Swap A and B tags when the B class has more leaves."""
     la, lb, _, _ = tree.composition()
-    if lb > la:
-        return tree.with_swapped_tags(), True
-    return tree, False
+    return tree.with_swapped_tags() if lb > la else tree
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +951,7 @@ def _reduce_and_recurse(
     best: tuple[int, Cover, list[str]] | None = None
     for u, v in combinations(sorted(leaves), 2):
         first = path_cost(tree, u, v)
-        reduced, support = reduce_by_paths(tree, [(u, v)])
+        reduced = reduce_by_paths(tree, [(u, v)])
         try:
             sub_cost, sub_cover, sub_labels = optimal_cover_of_residual(reduced, _depth=depth - 1)
         except (UnknownComposition, NoCaseMatched):
@@ -961,7 +959,7 @@ def _reduce_and_recurse(
         total = first.cost + sub_cost
         if best is not None and total >= best[0]:
             continue
-        lifted = lift_paths(tree, support, sub_cover.paths)
+        lifted = lift_paths(tree, reduced, sub_cover.paths)
         cover = Cover([first] + lifted)
         try:
             cover.validate(tree)
@@ -987,7 +985,7 @@ def optimal_cover_of_residual(
     """
     if _depth <= 0:
         raise BudgetExceeded("reduction recursion too deep")
-    work, _ = normalize_ab_swap(tree)
+    work = normalize_ab_swap(tree)
     comp = work.composition()
     cases = TABLE.get(comp)
     if cases is None:

@@ -240,21 +240,30 @@ def closed_form(tree: TaggedTree):
 # Lifting covers through reductions
 
 
-def lift_paths(
-    parent: TaggedTree, support: dict[int, frozenset[int]], paths: list[CoverPath]
-) -> list[CoverPath]:
-    """Re-express a reduced-tree cover in the parent tree.
+def lift_paths(parent: TaggedTree, child: TaggedTree, paths: list[CoverPath]) -> list[CoverPath]:
+    """Re-express a cover of ``child``, reduced from ``parent``, in the parent.
+
+    A child node stands for itself and the parent nodes that own its ``src``
+    components (``src`` sets are disjoint).  Absorbed nodes of empty ``src``
+    are missed, but they are clean and good (``TaggedTree.validate``), and
+    no rule below picks one: each takes a bad or tagged member, or the only
+    member of a node that absorbed no bad node.
 
     Tag sets only grow under contraction, so for an indel-saving path some
-    pair of supporting parent nodes shares the tag, and for an indel-neutral
-    path the supporting bad nodes cannot accidentally share one.  The parent
+    pair of absorbed parent nodes shares the tag, and for an indel-neutral
+    path the absorbed bad nodes cannot accidentally share one.  The parent
     path between the chosen endpoints passes every parent bad node whose
     image lies on the reduced path, so coverage is preserved.
     """
+    home = {c: u for u, n in parent.nodes.items() for c in n.src}
+
+    def members(r: int) -> list[int]:
+        return sorted({r, *map(home.__getitem__, child.nodes[r].src)})
+
     out: list[CoverPath] = []
     for p in paths:
-        su = sorted(support[p.u])
-        sv = sorted(support[p.v])
+        su = members(p.u)
+        sv = members(p.v)
         if p.u == p.v:
             b = next(n for n in su if parent.is_bad(n))
             out.append(CoverPath(b, b, 1))
@@ -274,20 +283,6 @@ def lift_paths(
             lv = next((n for n in sv if parent.is_bad(n)), sv[0])
             out.append(CoverPath(lu, lv, 2))
     return out
-
-
-def compose_support(
-    outer: dict[int, frozenset[int]], inner: dict[int, frozenset[int]]
-) -> dict[int, frozenset[int]]:
-    """Chain two support maps (outer: new -> mid, inner: mid -> old).
-
-    A node that absorbed a single mid node shares that node's set.
-    """
-    get = inner.__getitem__
-    return {
-        n: get(*mids) if len(mids) == 1 else frozenset().union(*map(get, mids))
-        for n, mids in outer.items()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 These are the straightforward constructions: components grouped and then
 sorted by their leftmost upper edge, the Steiner subtree of the merge
 carriers and the subtree spanning a set of tree nodes found by pruning
-leaves until none is left to prune, contraction
-run as a fixpoint loop over merged good blocks, and tree paths found by
-breadth-first search.  They rebuild every node they touch, which makes
+leaves until none is left to prune, contraction run as a fixpoint loop
+over merged good blocks with a support map of the input nodes each
+survivor absorbed, covers lifted through those maps, and tree paths found
+by breadth-first search.  They rebuild every node they touch, which makes
 them quadratic on large trees, and simple enough to trust.  Components
 are the transitive closure of the pairwise interleaving test
 ``cycles_interleave`` over the diagram's ``Cycle`` rows, which the sweep
@@ -29,6 +30,7 @@ from invindel.components import (
     TreeNode,
 )
 from invindel.diagram import TAG_A_BIT, TAG_B_BIT, Cycle, RelationalDiagram
+from invindel.treecover import CoverPath
 
 
 def cycles_interleave(c1: Cycle, c2: Cycle) -> bool:
@@ -241,6 +243,44 @@ def contract(tree: TaggedTree) -> tuple[TaggedTree, dict[int, frozenset[int]]]:
 
     out = TaggedTree(nodes, {u: tuple(sorted(vs)) for u, vs in adj.items()})
     return out, {u: frozenset(s) for u, s in support.items()}
+
+
+def compose_support(
+    outer: dict[int, frozenset[int]], inner: dict[int, frozenset[int]]
+) -> dict[int, frozenset[int]]:
+    """Chain two support maps (outer: new -> mid, inner: mid -> old)."""
+    return {n: frozenset().union(*(inner[m] for m in mids)) for n, mids in outer.items()}
+
+
+def lift_paths(
+    parent: TaggedTree, support: dict[int, frozenset[int]], paths: list[CoverPath]
+) -> list[CoverPath]:
+    """Re-express a reduced-tree cover in the parent tree, each reduced
+    node standing for the parent nodes its support holds: a short path
+    cuts the first bad one, an indel-saving path joins the first two that
+    share a tag, and another path joins the first bad ones, or the first
+    ones when none is bad."""
+    out: list[CoverPath] = []
+    for p in paths:
+        su, sv = sorted(support[p.u]), sorted(support[p.v])
+        if p.u == p.v:
+            b = next(n for n in su if parent.is_bad(n))
+            out.append(CoverPath(b, b, 1))
+        elif p.cost == 1:
+            pick = next(
+                (x, y)
+                for tag in (TAG_A, TAG_B)
+                for x in su
+                if tag in parent.tags(x)
+                for y in sv
+                if tag in parent.tags(y)
+            )
+            out.append(CoverPath(*pick, 1))
+        else:
+            lu = next((n for n in su if parent.is_bad(n)), su[0])
+            lv = next((n for n in sv if parent.is_bad(n)), sv[0])
+            out.append(CoverPath(lu, lv, 2))
+    return out
 
 
 def flower_contract(tree: ChainedTree) -> TaggedTree:

@@ -168,7 +168,7 @@ def _random_single_class_tree(rng: random.Random, tagged: bool) -> TaggedTree:
                 bad = rng.random() < 0.7
                 internal_tag = rng.choice(["", "", tag or "A", "B"]) if bad else rng.choice(["", "A", "B"])
                 specs[i] = ("b" if bad else "g") + internal_tag
-        tree, _ = contract(TaggedTree.from_spec(specs, edges))
+        tree = contract(TaggedTree.from_spec(specs, edges))
         if tree.is_empty or len(tree) > 12:
             continue
         leaves = tree.leaves()

@@ -7,7 +7,7 @@ from conftest import bt
 
 from invindel.cli import build_parser, compute_distance, distance_report, main, tau_star
 from invindel.errors import AnchorNotCommon, InvindelError
-from invindel.genome import LINEAR, classify_markers, parse_chromosome
+from invindel.genome import LINEAR, GenomePair, classify_markers, parse_chromosome
 
 FIG_A = "a t j b d f e g -c h i u k v o n l m"
 FIG_B = "a w b c d e f g h x i j y k l z m n o"
@@ -88,7 +88,7 @@ def test_tau_star_rejects_an_uncontracted_tree():
     assert brute_force_tau(tree) == 1
     with pytest.raises(InvindelError, match="good leaf 1 survived contraction"):
         tau_star(tree)
-    assert tau_star(contract(tree)[0])[0] == 1
+    assert tau_star(contract(tree))[0] == 1
 
 
 def test_report_lower_bound_invariant():
@@ -216,6 +216,19 @@ def test_anchor_not_common_trivial_regime():
     for anchor in ("x", "zz"):
         with pytest.raises(AnchorNotCommon, match=f"anchor '{anchor}' is not a marker common"):
             distance_report(a, b, anchor)
+
+
+def test_trivial_report_names_the_anchor_given(tmp_path, capsys):
+    a, b = parse_chromosome("a x"), parse_chromosome("a y")
+    assert distance_report(a, b).anchor is None
+    assert distance_report(a, b, "a").anchor == "a"
+    assert compute_distance(GenomePair(a, b), "a").anchor == "a"
+    lin = distance_report(parse_chromosome("a x", LINEAR), parse_chromosome("a y", LINEAR), "a")
+    assert lin.anchor == "a" and lin.case_trace == ["trivial"]
+    path = tmp_path / "g.txt"
+    path.write_text("a x\na y\n")
+    assert main(["dist", str(path), "--json", "--anchor", "a"]) == 0
+    assert json.loads(capsys.readouterr().out)["anchor"] == "a"
 
 
 def test_anchor_not_common_circular_regime():

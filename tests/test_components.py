@@ -4,8 +4,10 @@ import pytest
 import reference_tree
 from conftest import bt, canon
 
+from invindel.cli import tau_star
 from invindel.components import (
     TaggedTree,
+    TreeNode,
     build_chained_tree,
     contract,
     find_components,
@@ -13,6 +15,7 @@ from invindel.components import (
     tagged_tree_for_pair,
 )
 from invindel.diagram import build_relational_diagram
+from invindel.errors import InvindelError
 from invindel.genome import classify_markers, parse_chromosome
 from invindel.oracle import (
     OracleBudget,
@@ -165,7 +168,7 @@ def test_second_contraction_example():
             (0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (9, 13), (13, 14), (14, 15),
         ],
     )
-    contracted, _ = contract(raw)
+    contracted = contract(raw)
     contracted.validate()
     expected = bt(
         {0: "b", 1: "gAB", 2: "b", 3: "g", 4: "b", 5: "b", 6: "b", 7: "bA"},
@@ -176,7 +179,7 @@ def test_second_contraction_example():
 
 def test_contraction_no_bad_nodes_gives_empty_tree():
     raw = TaggedTree.from_spec({0: "g", 1: "gA", 2: "g"}, [(0, 1), (1, 2)])
-    contracted, _ = contract(raw)
+    contracted = contract(raw)
     assert contracted.is_empty
 
 
@@ -193,13 +196,14 @@ def test_contraction_invariants_random():
             if i:
                 edges.append((i, rng.randrange(i)))
         raw = TaggedTree.from_spec(specs, edges)
-        contracted, support = contract(raw)
+        contracted = contract(raw)
         contracted.validate()
-        # bad nodes survive one-to-one with their tags possibly enriched
+        # bad nodes survive one-to-one with their tags possibly enriched;
+        # from_spec gives node u the src {u}, so src names the absorbed nodes
         assert len(contracted.bad_nodes()) == len(raw.bad_nodes())
         for u in contracted.bad_nodes():
-            bads_in_support = [x for x in support[u] if raw.is_bad(x)]
-            assert bads_in_support == [u]
+            bads_absorbed = [x for x in contracted.nodes[u].src if raw.is_bad(x)]
+            assert bads_absorbed == [u]
             assert raw.tags(u) <= contracted.tags(u)
 
 
@@ -256,11 +260,31 @@ def test_reduce_by_paths_support_maps_back():
         {0: "bA", 1: "b", 2: "b", 3: "bA", 4: "b", 5: "bB"},
         [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)],
     )
-    reduced, support = reduce_by_paths(tree, [(0, 3)])
+    reduced = reduce_by_paths(tree, [(0, 3)])
     reduced.validate()
     assert set(reduced.bad_nodes()) <= {4, 5}
-    for new, olds in support.items():
-        assert olds <= set(tree.nodes)
+    for u, n in reduced.nodes.items():
+        assert u in n.src and n.src <= set(tree.nodes)
+
+
+def test_validate_rejects_a_two_part_tree():
+    forest = TaggedTree.from_spec({0: "bA", 1: "b", 2: "bB", 3: "b"}, [(0, 1), (2, 3)])
+    with pytest.raises(InvindelError, match="tagged tree is not connected"):
+        forest.validate()
+    TaggedTree.from_spec({0: "bA", 1: "b", 2: "bB"}, [(0, 1), (1, 2)]).validate()
+    TaggedTree({}, {}).validate()
+
+
+def test_validate_rejects_a_bad_or_tagged_node_without_src():
+    # lifting a reduced cover reads what each node absorbed from src alone
+    with pytest.raises(TypeError):
+        TreeNode(True, frozenset())
+    tree = TaggedTree.from_spec({0: "bA", 1: "gB", 2: "b", 3: "bB"}, [(0, 1), (1, 2), (1, 3)])
+    for u in (1, 2):
+        nodes = {**tree.nodes, u: tree.nodes[u]._replace(src=frozenset())}
+        with pytest.raises(InvindelError, match=f"bad or tagged node {u} has an empty src"):
+            tau_star(TaggedTree(nodes, tree.adj))
+    tau_star(tree)
 
 
 def test_pipeline_builds_no_rows(monkeypatch):

@@ -8,7 +8,6 @@ from invindel.diagram import (
     build_relational_diagram,
     classify_cycle,
     indel_potential,
-    run_count,
 )
 from invindel.errors import AnchorNotCommon, OddRunCountAboveOne
 from invindel.genome import LINEAR, Chromosome, cap_linear_pair, classify_markers, parse_chromosome
@@ -40,7 +39,7 @@ def test_figure_cycle_census():
 def test_figure_first_cycle_has_two_runs():
     d = build_relational_diagram(figure_pair(), "a")
     first = next(c for c in d.cycles if 0 in c.a_positions)
-    assert run_count(first) == 2
+    assert first.runs == 2
     assert first.has_a_run and first.has_b_run
 
 
@@ -53,7 +52,7 @@ def test_run_count_clean_cycle():
     pair = classify_markers(parse_chromosome("a b c"), parse_chromosome("a b c"))
     d = build_relational_diagram(pair, "a")
     assert d.c == 3
-    assert all(run_count(c) == 0 for c in d.cycles)
+    assert all(c.runs == 0 for c in d.cycles)
     assert all(c.is_two_cycle for c in d.cycles)
 
 
@@ -61,11 +60,11 @@ def test_run_count_alternating_four_runs():
     # one exclusive block per genome per gap, alternating sides along a cycle
     pair = classify_markers(parse_chromosome("a x1 b x2"), parse_chromosome("a y1 b y2"))
     d = build_relational_diagram(pair, "a")
-    counts = sorted(run_count(c) for c in d.cycles)
+    counts = sorted(c.runs for c in d.cycles)
     assert counts == [2, 2]
     pair = classify_markers(parse_chromosome("a x1 -b x2"), parse_chromosome("a y1 b y2"))
     d = build_relational_diagram(pair, "a")
-    four = [c for c in d.cycles if run_count(c) == 4]
+    four = [c for c in d.cycles if c.runs == 4]
     assert four, "expected an alternating four-run cycle"
 
 
@@ -190,7 +189,7 @@ def test_no_bad_component_formula_matches_search():
 
 def _census(d):
     return [
-        (c.id, c.a_positions, c.good, run_count(c), c.has_a_run, c.has_b_run, c.is_two_cycle)
+        (c.id, c.a_positions, c.good, c.runs, c.has_a_run, c.has_b_run, c.is_two_cycle)
         for c in d.cycles
     ]
 

@@ -17,7 +17,7 @@ from invindel.components import (
     find_components,
     mark_costless_merges,
 )
-from invindel.diagram import build_relational_diagram, run_count
+from invindel.diagram import build_relational_diagram
 from invindel.genome import Chromosome, GenomePair, Marker
 from invindel.oracle import OracleBudget, brute_force_distance, canonical_tokens
 
@@ -49,7 +49,7 @@ def test_two_common_markers_with_double_exclusives_exact():
         pair = GenomePair(a, b)
         d = build_relational_diagram(pair, "g0")
         both = sum(1 for c in d.cycles if c.has_both_runs)
-        heavy = any(run_count(c) >= 4 for c in d.cycles)
+        heavy = any(c.runs >= 4 for c in d.cycles)
         saw_two_carriers |= both >= 2
         saw_heavy |= heavy
         assert compute_distance(pair).distance == brute_force_distance(pair, BUDGET)
@@ -69,7 +69,7 @@ def test_bad_four_run_cycle_component_counts_good():
     for a_text, b_text, expected in frozen:
         pair = classify_markers(parse_chromosome(a_text), parse_chromosome(b_text))
         d = build_relational_diagram(pair, "g0")
-        heavy_bad = [c for c in d.cycles if run_count(c) >= 4 and not c.good]
+        heavy_bad = [c for c in d.cycles if c.runs >= 4 and not c.good]
         assert heavy_bad
         comps = find_components(d)
         owner = {i: comp for comp in comps for i in comp.cycles}

@@ -96,17 +96,17 @@ def test_normalize_ab_swap():
         {0: "g", 1: "bA", 2: "bB", 3: "bB", 4: "b"},
         [(0, 1), (0, 2), (0, 3), (0, 4)],
     )
-    swapped, flag = normalize_ab_swap(tree)
-    assert flag
+    assert tree.composition() == (1, 2, 1, 0)
+    swapped = normalize_ab_swap(tree)
     assert swapped.composition() == (2, 1, 1, 0)
+    assert [swapped.tags(u) for u in (1, 2, 3)] == [{"B"}, {"A"}, {"A"}]
     balanced = bt(
         {0: "g", 1: "bA", 2: "bB", 3: "b", 4: "b"},
         [(0, 1), (0, 2), (0, 3), (0, 4)],
     )
-    same, flag = normalize_ab_swap(balanced)
-    assert not flag
+    assert normalize_ab_swap(balanced).tags(1) == {"A"}
     clean = bt({0: "b", 1: "b", 2: "b"}, [(0, 1), (1, 2)])
-    assert not normalize_ab_swap(clean)[1]
+    assert normalize_ab_swap(clean).composition() == (0, 0, 2, 0)
 
 
 def test_lookup_agrees_with_search_per_composition(rng):

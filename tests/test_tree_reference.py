@@ -3,7 +3,7 @@
 Contraction, the merge marking, component finding, tree paths and the
 subtree spanning a set of nodes must give the same trees as the
 straightforward constructions: the same node ids, tags, ``src`` sets,
-sorted adjacency and support maps, in the same order.
+sorted adjacency, in the same order.
 """
 
 import itertools
@@ -26,19 +26,17 @@ from invindel.components import (
     flower_contract,
     mark_costless_merges,
     reduce_by_paths,
+    tagged_tree_for_pair,
 )
 from invindel.diagram import build_relational_diagram
 from invindel.oracle import random_genome_pair, random_tagged_tree, structured_genome_pair
-from invindel.treecover import induced_subtree
+from invindel.treecover import induced_subtree, lift_paths, path_cost
 
 
-def _snapshot(tree: TaggedTree, support=None):
+def _snapshot(tree: TaggedTree):
     """Everything a contraction returns, order of the dicts included."""
     nodes = [(u, n.bad, n.tags, n.src) for u, n in tree.nodes.items()]
-    out = (nodes, list(tree.adj.items()))
-    if support is not None:
-        out += (list(support.items()),)
-    return out
+    return nodes, list(tree.adj.items())
 
 
 def _tags(rng: random.Random) -> str:
@@ -101,21 +99,23 @@ def test_contract_matches_fixpoint_reference():
     rng = random.Random(71)
     for tree in _uncontracted_trees(rng, 5000):
         got = contract(tree)
-        want = reference_tree.contract(tree)
-        assert _snapshot(*got) == _snapshot(*want)
+        want, support = reference_tree.contract(tree)
+        assert _snapshot(got) == _snapshot(want)
+        # from_spec gives node u the src {u}: src is the support map
+        assert {u: n.src for u, n in got.nodes.items()} == support
 
 
 def test_contract_edge_shapes():
     single = TaggedTree.from_spec({4: "gA"}, [])
-    assert contract(single)[0].is_empty
+    assert contract(single).is_empty
     all_good = TaggedTree.from_spec({0: "g", 1: "gB", 2: "g"}, [(0, 1), (1, 2)])
-    assert contract(all_good)[0].is_empty
+    assert contract(all_good).is_empty
     chain = TaggedTree.from_spec(
         {0: "bA", 1: "g", 2: "g", 3: "g", 4: "b"}, [(0, 1), (1, 2), (2, 3), (3, 4)]
     )
-    out, support = contract(chain)
+    out = contract(chain)
     assert out.adj == {0: (4,), 4: (0,)}
-    assert support == {0: frozenset({0}), 4: frozenset({4})}
+    assert {u: n.src for u, n in out.nodes.items()} == {0: {0}, 4: {4}}
 
 
 def _chained(kinds: str, tags: list[str], chains, chain_parent) -> ChainedTree:
@@ -179,8 +179,48 @@ def test_reduce_by_paths_matches_reference():
         nodes = {
             u: (n._replace(bad=False) if u in marked else n) for u, n in tree.nodes.items()
         }
-        want = reference_tree.contract(TaggedTree(nodes, tree.adj))
-        assert _snapshot(*reduce_by_paths(tree, pairs)) == _snapshot(*want)
+        want, _ = reference_tree.contract(TaggedTree(nodes, tree.adj))
+        assert _snapshot(reduce_by_paths(tree, pairs)) == _snapshot(want)
+
+
+def test_src_records_what_a_reduced_node_absorbed():
+    # flower-contracted nodes hold several components each; after random
+    # reductions, lifting reads the absorbed nodes from src alone and lifts
+    # every path as the support map composed along the reductions does
+    rng = random.Random(78)
+    kept_squares = absorbed_squares = 0
+    for _ in range(20):
+        base = tagged_tree_for_pair(structured_genome_pair(rng, rng.randint(3, 12)))[3]
+        srcs = [n.src for n in base.nodes.values()]
+        assert sum(map(len, srcs)) == len(frozenset().union(*srcs))
+        work, support = base, {u: frozenset({u}) for u in base.nodes}
+        for _ in range(rng.randint(1, 3)):
+            if len(work.bad_nodes()) < 2:
+                break
+            u, v = rng.sample(work.bad_nodes(), 2)
+            marked = set(work.path(u, v))
+            nodes = {x: n._replace(bad=n.bad and x not in marked) for x, n in work.nodes.items()}
+            want, step = reference_tree.contract(TaggedTree(nodes, work.adj))
+            work = reduce_by_paths(work, [(u, v)])
+            assert _snapshot(work) == _snapshot(want)
+            support = reference_tree.compose_support(step, support)
+        # src names every absorbed node but the square-only blocks, which
+        # are clean and good; a node with no bad member absorbed nothing
+        home = {c: x for x, n in base.nodes.items() for c in n.src}
+        for r, n in work.nodes.items():
+            members = {r, *(home[c] for c in n.src)}
+            assert members <= support[r]
+            for x in support[r] - members:
+                assert base.nodes[x] == (False, frozenset(), frozenset())
+                absorbed_squares += 1
+            if not any(base.is_bad(x) for x in members):
+                assert support[r] == {r}
+            kept_squares += not n.src
+        paths = [path_cost(work, x, x) for x in work.bad_nodes()]
+        if len(work) > 1:
+            paths += [path_cost(work, *rng.sample(list(work.nodes), 2)) for _ in range(200)]
+        assert lift_paths(base, work, paths) == reference_tree.lift_paths(base, support, paths)
+    assert kept_squares and absorbed_squares
 
 
 def _path_trees(rng: random.Random):
@@ -249,7 +289,7 @@ def test_cached_queries_match_fresh_ones_after_reduction():
         leaves = tree.leaves()
         tau_star(tree)
         u, v = leaves[0], leaves[-1]
-        reduced, _ = reduce_by_paths(tree, [(u, v)])
+        reduced = reduce_by_paths(tree, [(u, v)])
         # the input tree was not changed by either, and its caches still
         # agree with a fresh computation
         assert tree.leaves() == leaves == reference_tree.leaves(tree)
