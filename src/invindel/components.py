@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import compress
-from operator import eq, ne, not_, or_
+from operator import eq, lt, ne, not_, or_
 from typing import NamedTuple
 
 from .diagram import TAG_A_BIT, TAG_B_BIT, RelationalDiagram, build_relational_diagram
@@ -353,16 +353,22 @@ class TreeNode(NamedTuple):
 
 
 class TaggedTree:
-    """Unrooted tree of bad/good nodes with tag sets, in contracted form.
+    """Unrooted tree of bad/good nodes with tag sets, in contracted form;
+    ``adj[u]`` lists the neighbours of ``u`` in increasing order.
 
-    A tree is never changed once built: its leaves and a rooting (the parent
-    and depth of every node) are computed on first use and kept.
+    A tree is never changed once built.  Its leaves, leaf classes, bad
+    nodes, the node that absorbed each component and a rooting (the parent
+    and depth of every node) are computed on first use and kept; the
+    queries return the kept lists and dicts themselves, which are read only.
     """
 
     def __init__(self, nodes: dict[int, TreeNode], adj: dict[int, tuple[int, ...]]):
         self.nodes = nodes
         self.adj = adj
         self._leaves: list[int] | None = None
+        self._classes: dict[str, list[int]] | None = None
+        self._bad: list[int] | None = None
+        self._home: dict[int, int] | None = None
         self._parent: dict[int, int | None] | None = None
         self._depth: dict[int, int] | None = None
 
@@ -407,10 +413,12 @@ class TaggedTree:
             else:
                 adj = self.adj
                 self._leaves = sorted(u for u in self.nodes if len(adj[u]) <= 1)
-        return list(self._leaves)
+        return self._leaves
 
     def bad_nodes(self) -> list[int]:
-        return sorted(u for u, n in self.nodes.items() if n.bad)
+        if self._bad is None:
+            self._bad = sorted(u for u, n in self.nodes.items() if n.bad)
+        return self._bad
 
     def tags(self, u: int) -> frozenset[str]:
         return self.nodes[u].tags
@@ -418,18 +426,25 @@ class TaggedTree:
     def is_bad(self, u: int) -> bool:
         return self.nodes[u].bad
 
-    def leaf_class(self, u: int) -> str:
-        return _CLASS_OF[self.nodes[u].tags]
-
     def leaf_classes(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {cls: [] for cls in CLASS_TAGS}
-        for u in self.leaves():
-            out[self.leaf_class(u)].append(u)
-        return out
+        """The leaves of each class, in increasing order."""
+        if self._classes is None:
+            classes: dict[str, list[int]] = {cls: [] for cls in CLASS_TAGS}
+            nodes = self.nodes
+            for u in self.leaves():
+                classes[_CLASS_OF[nodes[u].tags]].append(u)
+            self._classes = classes
+        return self._classes
 
     def composition(self) -> tuple[int, int, int, int]:
         cls = self.leaf_classes()
         return (len(cls["A"]), len(cls["B"]), len(cls["C"]), len(cls["AB"]))
+
+    def component_home(self) -> dict[int, int]:
+        """The node whose ``src`` holds each component."""
+        if self._home is None:
+            self._home = {c: u for u, n in self.nodes.items() for c in n.src}
+        return self._home
 
     def rooting(self) -> tuple[dict[int, int | None], dict[int, int]]:
         """Parent and depth of every node, each connected part rooted at its
@@ -494,16 +509,28 @@ class TaggedTree:
         return TaggedTree(nodes, self.adj)
 
     def validate(self) -> None:
-        """Assert the contracted-form invariants."""
-        for u, node in self.nodes.items():
+        """Assert the adjacency and contracted-form invariants."""
+        nodes, adj = self.nodes, self.adj
+        arcs = {(u, v) for u, vs in adj.items() for v in vs}
+        for u, node in nodes.items():
+            nbrs = adj.get(u)
+            if nbrs is None:
+                raise InvindelError(f"node {u} has no neighbour list")
+            for v in nbrs:
+                if v not in nodes:
+                    raise InvindelError(f"node {u} lists neighbour {v}, which is not a node")
+                if (v, u) not in arcs:
+                    raise InvindelError(f"edge {u}-{v} is listed at node {u} only")
+            if len(nbrs) > 1 and not all(map(lt, nbrs, nbrs[1:])):
+                raise InvindelError(f"neighbours of node {u} are not in increasing order")
             if not node.src and (node.bad or node.tags):
                 raise InvindelError(f"bad or tagged node {u} has an empty src")
             if not node.bad:
-                if self.degree(u) <= 1:
+                if len(nbrs) <= 1:
                     raise InvindelError(f"good leaf {u} survived contraction")
-                if not node.tags and self.degree(u) == 2:
+                if not node.tags and len(nbrs) == 2:
                     raise InvindelError(f"clean good node {u} of degree 2 survived")
-                if any(not self.nodes[v].bad for v in self.adj[u]):
+                if any(not nodes[v].bad for v in nbrs):
                     raise InvindelError(f"adjacent good nodes at {u}")
         if sum(p is None for p in self.rooting()[0].values()) > 1:
             raise InvindelError("tagged tree is not connected")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .components import TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, DegenerateTree, PreconditionViolated, UnknownComposition
@@ -32,12 +33,23 @@ from .treecover import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
+    """One spent in-traversal.  A step equals and hashes like a frozen
+    record of its four fields: it equals only another step, never a plain
+    tuple."""
+
     kind: str  # balanced_in_traversal | solo_safe_clean | three_to_one
     path: tuple[int, int]  # endpoints in input-tree node ids
     cost: int
     leaf_class: str
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is ReductionStep and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass
@@ -167,7 +179,7 @@ class _Reducer:
     def apply_pairs(self, pairs: list[tuple[int, int]], kind: str, cls: str) -> None:
         if not pairs:
             return
-        paths = [CoverPath(u, v, path_cost(self.work, u, v).cost) for u, v in pairs]
+        paths = [path_cost(self.work, u, v) for u, v in pairs]
         for p in lift_paths(self.base, self.work, paths):
             self.steps.append(ReductionStep(kind, (p.u, p.v), p.cost, cls))
         self.work = reduce_by_paths(self.work, pairs)

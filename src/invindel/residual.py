@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .components import TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, NoCaseMatched, PreconditionViolated, UnknownComposition
-from .treecover import Cover, CoverPath, Topology, lift_paths, path_cost, solo_candidates
+from .treecover import Cover, CoverPath, Topology, lift_paths, path_cost
 
 A = frozenset({"A"})
 B = frozenset({"B"})
@@ -889,12 +889,7 @@ def _spec_options(tree: TaggedTree, topo: Topology, spec: PathSpec, used: set[in
             for m in mates:
                 yield (u, m, (u,) if not spec.covered_src else ())
     elif spec.kind == "short":
-        if spec.c1 == "C":
-            cands = solo_candidates(topo.tree)
-            rest = [u for u in topo.classes["C"] if u not in cands]
-            pool = cands + rest
-        else:
-            pool = topo.classes[spec.c1]
+        pool = topo.clean_pool if spec.c1 == "C" else topo.classes[spec.c1]
         for u in pool:
             if u not in used:
                 yield (u, u, (u,))
@@ -947,9 +942,8 @@ def _reduce_and_recurse(
 ) -> tuple[int, Cover, list[str]] | None:
     """Spend one in-traversal of the named class and recurse; every choice
     of endpoints is tried and the cheapest valid outcome kept."""
-    leaves = [u for u in tree.leaves() if tree.leaf_class(u) == cs.reduce_class]
     best: tuple[int, Cover, list[str]] | None = None
-    for u, v in combinations(sorted(leaves), 2):
+    for u, v in combinations(tree.leaf_classes()[cs.reduce_class], 2):
         first = path_cost(tree, u, v)
         reduced = reduce_by_paths(tree, [(u, v)])
         try:

@@ -12,6 +12,8 @@ the topology trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .components import CLASS_TAGS, TAG_A, TAG_B, TaggedTree, spanning_subtree
 from .errors import (
@@ -21,11 +23,24 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class CoverPath:
+class CoverPath(NamedTuple):
+    """One path of a cover, between nodes ``u`` and ``v``, at its cost.
+
+    A path equals and hashes like a frozen record of its three fields: it
+    equals only another path, never a plain tuple.
+    """
+
     u: int
     v: int
     cost: int
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CoverPath and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def kind(self) -> str:
@@ -44,6 +59,8 @@ class Cover:
         """Check every bad node is covered and every declared cost is right."""
         covered: set[int] = set()
         for p in self.paths:
+            if p.u not in tree.nodes or p.v not in tree.nodes:
+                raise PreconditionViolated(f"path {p.u}-{p.v} ends outside the tree")
             expect = path_cost(tree, p.u, p.v).cost
             if expect != p.cost:
                 raise PreconditionViolated(
@@ -73,7 +90,8 @@ def path_cost(tree: TaggedTree, u: int, v: int) -> CoverPath:
 
 def _circular_leaf_order(tree: TaggedTree, leaves: list[int]) -> list[int]:
     """Leaves in the circular order of a fixed planar embedding: depth-first
-    from the lowest node id, children visited in id order."""
+    from the lowest node id, children visited in id order (``adj`` lists
+    them in that order)."""
     nodes = induced_subtree(tree, leaves)
     if not nodes:
         return []
@@ -85,8 +103,9 @@ def _circular_leaf_order(tree: TaggedTree, leaves: list[int]) -> list[int]:
         u, parent = stack.pop()
         if u in target:
             order.append(u)
-        for v in sorted((x for x in tree.adj[u] if x != parent and x in nodes), reverse=True):
-            stack.append((v, u))
+        for v in reversed(tree.adj[u]):
+            if v != parent and v in nodes:
+                stack.append((v, u))
     return order
 
 
@@ -141,11 +160,7 @@ def branch_is_long(tree: TaggedTree, leaf: int) -> bool:
 
 def solo_candidates(tree: TaggedTree) -> list[int]:
     """Clean leaves sitting in short leaf branches."""
-    return [
-        u
-        for u in tree.leaves()
-        if tree.leaf_class(u) == "C" and not branch_is_long(tree, u)
-    ]
+    return [u for u in tree.leaf_classes()["C"] if not branch_is_long(tree, u)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +259,11 @@ def lift_paths(parent: TaggedTree, child: TaggedTree, paths: list[CoverPath]) ->
     """Re-express a cover of ``child``, reduced from ``parent``, in the parent.
 
     A child node stands for itself and the parent nodes that own its ``src``
-    components (``src`` sets are disjoint).  Absorbed nodes of empty ``src``
-    are missed, but they are clean and good (``TaggedTree.validate``), and
-    no rule below picks one: each takes a bad or tagged member, or the only
-    member of a node that absorbed no bad node.
+    components (``src`` sets are disjoint, and the parent keeps the map from
+    component to node).  Absorbed nodes of empty ``src`` are missed, but
+    they are clean and good (``TaggedTree.validate``), and no rule below
+    picks one: each takes a bad or tagged member, or the only member of a
+    node that absorbed no bad node.
 
     Tag sets only grow under contraction, so for an indel-saving path some
     pair of absorbed parent nodes shares the tag, and for an indel-neutral
@@ -255,7 +271,7 @@ def lift_paths(parent: TaggedTree, child: TaggedTree, paths: list[CoverPath]) ->
     path between the chosen endpoints passes every parent bad node whose
     image lies on the reduced path, so coverage is preserved.
     """
-    home = {c: u for u, n in parent.nodes.items() for c in n.src}
+    home = parent.component_home()
 
     def members(r: int) -> list[int]:
         return sorted({r, *map(home.__getitem__, child.nodes[r].src)})
@@ -301,6 +317,13 @@ class Topology:
         self.tree = tree
         self.classes = tree.leaf_classes()
         self._subtrees: dict[frozenset, frozenset[int]] = {}
+
+    @cached_property
+    def clean_pool(self) -> list[int]:
+        """The clean leaves, solo candidates first, in the order a short path
+        on a clean leaf tries them."""
+        cands = solo_candidates(self.tree)
+        return cands + [u for u in self.classes["C"] if u not in cands]
 
     def class_leaves(self, classes: frozenset) -> list[int]:
         out: list[int] = []
@@ -450,7 +473,7 @@ def analyze_topology(tree: TaggedTree) -> TopologyReport:
                     mates[(src, tag, host)] = carriers[0]
     return TopologyReport(
         composition=tree.composition(),
-        leaf_classes={c: topo.classes[c] for c in present},
+        leaf_classes={c: list(topo.classes[c]) for c in present},
         canonical_subtrees={c: sorted(topo.subtree({c})) for c in present},
         isolated={c: topo.isolated({c}) for c in present},
         links=links,

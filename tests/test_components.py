@@ -287,6 +287,25 @@ def test_validate_rejects_a_bad_or_tagged_node_without_src():
     tau_star(tree)
 
 
+def test_validate_rejects_a_malformed_adjacency():
+    bad = TreeNode(True, frozenset(), frozenset({0}))
+    cases = [
+        ({0: (1, 9), 1: (0,)}, "node 0 lists neighbour 9, which is not a node"),
+        ({0: (1, 2), 1: (0,), 2: ()}, "edge 0-2 is listed at node 0 only"),
+        ({0: (2, 1), 1: (0,), 2: (0,)}, "neighbours of node 0 are not in increasing order"),
+        ({0: (), 1: None}, "node 1 has no neighbour list"),  # None: no list at all
+    ]
+    for adj, message in cases:
+        nodes = {u: bad for u in adj}
+        adj = {u: vs for u, vs in adj.items() if vs is not None}
+        tree = TaggedTree(nodes, adj)
+        with pytest.raises(InvindelError, match=f"^{message}$"):
+            tree.validate()
+        with pytest.raises(InvindelError, match=f"^{message}$"):
+            tau_star(TaggedTree(nodes, adj))
+    TaggedTree({0: bad, 1: bad, 2: bad}, {0: (1, 2), 1: (0,), 2: (0,)}).validate()
+
+
 def test_pipeline_builds_no_rows(monkeypatch):
     # the pipeline reads the diagram's and the components' columns only:
     # Cycle and Component rows are for traces and tests

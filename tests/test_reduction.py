@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from invindel.components import reduce_by_paths
 from invindel.errors import BudgetExceeded, DegenerateTree, PreconditionViolated
 from invindel.oracle import OracleBudget, brute_force_tau, random_tagged_tree
 from invindel.reduction import (
+    ReductionStep,
     _balanced_pair_plan,
     _Reducer,
     _run_pipeline,
@@ -23,7 +25,7 @@ from invindel.treecover import analyze_topology, cover_floor
 def balanced_reduce(tree, leaf_class, can_reduce_to_2, solo=None):
     """Spend the planned balanced in-traversals on one leaf class; returns
     the reduced tree and the class leaves that survive."""
-    leaves = [u for u in tree.leaves() if tree.leaf_class(u) == leaf_class]
+    leaves = tree.leaf_classes()[leaf_class]
     reduced = reduce_by_paths(tree, _balanced_pair_plan(tree, leaves, can_reduce_to_2, solo))
     return reduced, [u for u in reduced.leaves() if u in leaves]
 
@@ -33,6 +35,20 @@ def three_to_one(tree, leaves):
     kept = essential_leaf(tree, leaves)
     others = [u for u in sorted(leaves) if u != kept]
     return reduce_by_paths(tree, [(others[0], others[1])])
+
+
+def test_reduction_step_is_a_frozen_record():
+    s = ReductionStep("three_to_one", (1, 2), 2, "C")
+    assert s == ReductionStep("three_to_one", (1, 2), 2, "C")
+    assert s != ReductionStep("three_to_one", (1, 2), 1, "C")
+    assert s != ("three_to_one", (1, 2), 2, "C") and not s == ("three_to_one", (1, 2), 2, "C")
+    assert hash(s) == hash(("three_to_one", (1, 2), 2, "C")) and {s: 1}[s] == 1
+    assert repr(s) == "ReductionStep(kind='three_to_one', path=(1, 2), cost=2, leaf_class='C')"
+    with pytest.raises(AttributeError):
+        s.cost = 1
+    assert pickle.loads(pickle.dumps(s)) == s
+    res = compute_residual(fig.REDUCTION3)
+    assert res.steps and all(step.__class__ is ReductionStep for step in res.steps)
 
 
 def test_p_reduction_single_bad_node():

@@ -277,6 +277,16 @@ def test_induced_subtree_on_a_forest():
     assert induced_subtree(forest, [3, 1, 5]) == {1, 2, 3, 5}
 
 
+def _kept_facts(tree: TaggedTree):
+    return (
+        tree.leaves(),
+        tree.leaf_classes(),
+        tree.composition(),
+        tree.bad_nodes(),
+        tree.component_home(),
+    )
+
+
 def test_cached_queries_match_fresh_ones_after_reduction():
     rng = random.Random(74)
     checked = 0
@@ -286,14 +296,18 @@ def test_cached_queries_match_fresh_ones_after_reduction():
             continue
         ids = list(tree.nodes)
         before = {(u, v): tree.path(u, v) for u in ids for v in ids}
-        leaves = tree.leaves()
+        leaves = list(tree.leaves())
         tau_star(tree)
         u, v = leaves[0], leaves[-1]
         reduced = reduce_by_paths(tree, [(u, v)])
+        tau_star(reduced)
         # the input tree was not changed by either, and its caches still
         # agree with a fresh computation
         assert tree.leaves() == leaves == reference_tree.leaves(tree)
         assert {(a, b): tree.path(a, b) for a in ids for b in ids} == before
+        for t in (tree, reduced):
+            assert _kept_facts(t) == _kept_facts(TaggedTree(dict(t.nodes), dict(t.adj)))
+            assert t.leaf_classes() is t.leaf_classes() and t.bad_nodes() is t.bad_nodes()
         fresh = TaggedTree(dict(reduced.nodes), dict(reduced.adj))
         r_ids = list(reduced.nodes)
         assert reduced.leaves() == fresh.leaves() == reference_tree.leaves(reduced)
@@ -304,6 +318,40 @@ def test_cached_queries_match_fresh_ones_after_reduction():
                 )
         checked += 1
     assert checked >= 50
+
+
+def test_tau_star_derives_each_kept_fact_once(monkeypatch):
+    # every tree tau_star meets, reduced ones included, builds its leaf
+    # classes and its component map once: each query returns the same object
+    answers: dict[str, dict[int, list]] = {"leaf_classes": {}, "component_home": {}}
+
+    def kept(name):
+        query = getattr(TaggedTree, name)
+
+        def wrapper(self):
+            got = query(self)
+            answers[name].setdefault(id(self), [self]).append(got)
+            return got
+
+        return wrapper
+
+    for name in answers:
+        monkeypatch.setattr(TaggedTree, name, kept(name))
+    rng = random.Random(15)
+    solved = 0
+    for _ in range(6):
+        tree = tagged_tree_for_pair(structured_genome_pair(rng, 12))[3]
+        res = tau_star(tree)[2]
+        solved += res is not None and bool(res.steps)
+    # the reducer lifts every step to the input tree, reads the leaf classes
+    # of every tree a step leaves, and asks some trees more than twice
+    assert solved >= 3
+    assert len(answers["component_home"]) >= solved
+    assert len(answers["leaf_classes"]) >= 3 * solved
+    for name, per_tree in answers.items():
+        for _, first, *rest in per_tree.values():
+            assert all(got is first for got in rest), name
+    assert sum(len(calls) > 3 for calls in answers["leaf_classes"].values()) >= solved
 
 
 def _random_chained_tree(rng: random.Random) -> ChainedTree:

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,27 @@ def test_cover_validation_catches_gaps():
     Cover([CoverPath(0, 2, 2)]).validate(tree)
     with pytest.raises(PreconditionViolated):
         Cover([CoverPath(0, 2, 1)]).validate(tree)
+
+
+def test_cover_validation_rejects_an_endpoint_outside_the_tree():
+    tree = bt({0: "b", 1: "b", 2: "b"}, [(0, 1), (1, 2)])
+    for path in (CoverPath(0, 7, 2), CoverPath(7, 0, 2), CoverPath(7, 7, 1)):
+        message = f"^path {path.u}-{path.v} ends outside the tree$"
+        with pytest.raises(PreconditionViolated, match=message):
+            Cover([path]).validate(tree)
+    Cover([CoverPath(0, 2, 2)]).validate(tree)
+
+
+def test_cover_path_is_a_frozen_record():
+    p = CoverPath(0, 7, 2)
+    assert p == CoverPath(0, 7, 2) and p != CoverPath(0, 7, 1) and p != CoverPath(7, 0, 2)
+    assert p != (0, 7, 2) and not p == (0, 7, 2)
+    assert hash(p) == hash((0, 7, 2)) and {CoverPath(0, 7, 2): 1}[p] == 1
+    assert repr(p) == "CoverPath(u=0, v=7, cost=2)"
+    assert (p.u, p.v, p.cost, p.kind, CoverPath(3, 3, 1).kind) == (0, 7, 2, "long", "short")
+    with pytest.raises(AttributeError):
+        p.cost = 1
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_traversals_star():
