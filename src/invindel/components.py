@@ -534,6 +534,8 @@ class TaggedTree:
                     raise InvindelError(f"adjacent good nodes at {u}")
         if sum(p is None for p in self.rooting()[0].values()) > 1:
             raise InvindelError("tagged tree is not connected")
+        if nodes and sum(map(len, adj.values())) != 2 * (len(nodes) - 1):
+            raise InvindelError("tagged tree has a cycle")
 
 
 def _settle(b, block, tags: frozenset[str], bads, gained: dict, folded: dict) -> int | None:

@@ -67,7 +67,7 @@ def classify_cycle(cycle: Cycle) -> tuple[str, str, str]:
     runs = cycle.runs
     if runs == 0:
         profile = "clean"
-    elif cycle.has_a_run and cycle.has_b_run:
+    elif cycle.has_both_runs:
         profile = f"AB{runs // 2}"
     elif cycle.has_a_run:
         profile = "A"

@@ -275,6 +275,21 @@ def test_validate_rejects_a_two_part_tree():
     TaggedTree({}, {}).validate()
 
 
+def test_validate_rejects_a_cycle():
+    # a connected graph is a tree only with one edge fewer than its nodes:
+    # a triangle once gave tau* 3 and a bare 4-cycle an "empty tree" error
+    triangle = TaggedTree.from_spec(
+        {0: "b", 1: "b", 2: "b", 3: "bA", 4: "bB", 5: "b"},
+        [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)],
+    )
+    square = TaggedTree.from_spec({u: "b" for u in range(4)}, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for graph in (triangle, square):
+        with pytest.raises(InvindelError, match="^tagged tree has a cycle$"):
+            graph.validate()
+        with pytest.raises(InvindelError, match="^tagged tree has a cycle$"):
+            tau_star(graph)
+
+
 def test_validate_rejects_a_bad_or_tagged_node_without_src():
     # lifting a reduced cover reads what each node absorbed from src alone
     with pytest.raises(TypeError):

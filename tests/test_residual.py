@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import bt
@@ -14,6 +17,7 @@ from invindel.residual import (
     normalize_ab_swap,
     optimal_cover_of_residual,
 )
+from invindel.treecover import cover_floor
 
 
 def test_table_holds_all_56_compositions():
@@ -35,8 +39,6 @@ def test_case_lists_are_sorted_by_cost():
         assert len(cases) - len(plain) <= 1, comp
         costs = [cs.cost for cs in plain]
         assert costs == sorted(costs), comp
-        for cs in plain:
-            assert sum(spec.cost for spec in cs.recipe) == cs.cost, (comp, cs.label)
 
 
 def test_table_holds_no_duplicate_case():
@@ -159,20 +161,79 @@ def test_reduction_depth_guard_raises():
 
 
 def test_recipe_costs_follow_the_class_tags():
-    # each path cost of a recipe is a fact of its end classes' tag sets: a
-    # traversal costs 1 between classes sharing a tag and 2 otherwise, and a
-    # semi-path leaves a class that holds the tag it saves on (that the path
-    # costs sum to the case cost is checked with the cost order above)
-    audited = 0
+    # a traversal's cost is derived from its end classes' tag sets; what the
+    # table still states by hand is that a semi-path leaves a class holding
+    # the tag it saves on
     for comp, cases in TABLE.items():
         for cs in cases:
-            if cs.recipe is None:
-                continue
-            audited += 1
-            for spec in cs.recipe:
-                if spec.kind in ("in", "out", "tcov"):
-                    shared = CLASS_TAGS[spec.c1] & CLASS_TAGS[spec.c2]
-                    assert spec.cost == (1 if shared else 2), (comp, cs.label, spec)
-                elif spec.kind == "semi":
+            for spec in cs.recipe or ():
+                if spec.kind == "semi":
                     assert spec.tag in CLASS_TAGS[spec.c1], (comp, cs.label, spec)
-    assert audited == 153
+
+
+def test_table_holds_162_rows():
+    rows = [cs for cases in TABLE.values() for cs in cases]
+    assert len(rows) == 162
+    assert sum(cs.reduce_class is not None for cs in rows) == 9
+
+
+def test_every_row_is_chosen_on_some_tree():
+    # criterion 2's trees choose every row but the pinned ones; a lookup is
+    # skipped once its composition's rows have all been chosen (the lookup
+    # draws nothing from the generator, so the trees stay criterion 2's)
+    rng = random.Random(2024)
+    unchosen = {f"{comp} {cs.label}" for comp, cases in TABLE.items() for cs in cases}
+    for comp in known_compositions():
+        own = {f"{comp} {cs.label}" for cs in TABLE[comp]}
+        for _ in range(200):
+            tree = random_residual_tree(comp, rng)
+            if own & unchosen:
+                unchosen.difference_update(optimal_cover_of_residual(tree)[2])
+    assert unchosen == {f"{comp} {label}" for comp, label, _ in fig.PINNED_ROWS}
+
+
+@pytest.mark.parametrize(
+    "comp, label, tree", fig.PINNED_ROWS, ids=[f"{c}-{lab}" for c, lab, _ in fig.PINNED_ROWS]
+)
+def test_pinned_row_is_needed(monkeypatch, comp, label, tree):
+    cost, cover, labels = optimal_cover_of_residual(tree)
+    assert labels == [f"{comp} {label}"]
+    assert cost == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == 4
+    monkeypatch.setitem(TABLE, comp, [cs for cs in TABLE[comp] if cs.label != label])
+    cost, cover, labels = optimal_cover_of_residual(tree)
+    cover.validate(tree)
+    assert cost == 5
+
+
+def _connected_full_pairing(comp, recipe) -> bool:
+    """Whether the recipe's traversals end at every leaf once, a tcov's
+    covered end aside, and any two of them are linked through ends of a
+    shared class."""
+    if any(spec.kind not in ("in", "out", "tcov") for spec in recipe):
+        return False
+    ends = [[spec.c1] if spec.kind == "tcov" else [spec.c1, spec.c2] for spec in recipe]
+    counts = Counter(c for path in ends for c in path)
+    if tuple(counts[c] for c in ("A", "B", "C", "AB")) != comp:
+        return False
+    reached, grew = set(ends[0]), True
+    while grew:
+        grew = False
+        for path in ends:
+            if reached.intersection(path) and not reached.issuperset(path):
+                reached.update(path)
+                grew = True
+    return reached == set(counts)
+
+
+def test_a_connected_full_pairing_at_the_floor_is_the_only_row():
+    # such a row always binds (see the proof at the table), so no later row,
+    # reduce cases included, can ever be chosen after it
+    rng = random.Random(0)
+    alone = set()
+    for comp, cases in TABLE.items():
+        first = cases[0]
+        floor = cover_floor(random_residual_tree(comp, rng))
+        if first.recipe and first.cost == floor and _connected_full_pairing(comp, first.recipe):
+            assert len(cases) == 1, comp
+            alone.add(comp)
+    assert {(2, 1, 0, 3), (2, 2, 0, 3), (2, 2, 0, 4), (2, 2, 1, 3)} <= alone
