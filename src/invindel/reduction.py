@@ -56,15 +56,12 @@ class ReductionStep(NamedTuple):
 class ResidualResult:
     residual: TaggedTree
     steps: list[ReductionStep]
-    reduction_cost: int
-    solo_leaf: int | None
-    lookup_cost: int
     lookup_cover: Cover  # already lifted to input-tree node ids
     case_trace: list[str]
 
     @property
     def total_cost(self) -> int:
-        return self.reduction_cost + self.lookup_cost
+        return self.full_cover().total_cost
 
     def full_cover(self) -> Cover:
         paths = [CoverPath(s.path[0], s.path[1], s.cost) for s in self.steps]
@@ -193,9 +190,6 @@ class _Reducer:
         u, v, *_ = (x for x in leaves if x != kept)
         self.apply_pairs([(u, v)], "three_to_one", cls)
 
-    def reduction_cost(self) -> int:
-        return sum(s.cost for s in self.steps)
-
 
 def _reduce_tagged_class(r: _Reducer, cls: str) -> None:
     leaves = r.class_leaves(cls)
@@ -235,26 +229,15 @@ def _reduce_ab_class(r: _Reducer) -> None:
         r.three_to_one("AB")
 
 
-def _result_for(branch: _Reducer, solo: int | None, depth: int) -> ResidualResult:
+def _result_for(branch: _Reducer, depth: int) -> ResidualResult:
     """Look up the branch's residual tree, or, when a reduction exposed new
     leaves pushing the composition outside the tables, reduce again."""
     try:
-        cost, cover, labels = optimal_cover_of_residual(branch.work)
+        cover, labels = optimal_cover_of_residual(branch.work)
     except UnknownComposition:
-        sub = _run_pipeline(branch, depth - 1)
-        if solo is not None and sub.solo_leaf is None:
-            sub.solo_leaf = solo
-        return sub
+        return _run_pipeline(branch, depth - 1)
     lifted = Cover(lift_paths(branch.base, branch.work, cover.paths))
-    return ResidualResult(
-        residual=branch.work,
-        steps=branch.steps,
-        reduction_cost=branch.reduction_cost(),
-        solo_leaf=solo,
-        lookup_cost=cost,
-        lookup_cover=lifted,
-        case_trace=labels,
-    )
+    return ResidualResult(branch.work, branch.steps, lifted, labels)
 
 
 def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
@@ -278,7 +261,7 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
             branch.apply_pairs(pairs, "solo_safe_clean", "C")
         if can1:
             branch.three_to_one("C", s)
-        result = _result_for(branch, s, depth)
+        result = _result_for(branch, depth)
         if best is None or result.total_cost < best.total_cost:
             best = result
             if best.total_cost <= r.floor:

@@ -537,10 +537,7 @@ def _instantiate(tree: TaggedTree, topo: Topology, cs: Case) -> Cover | None:
             return cover
         spec = recipe[i]
         for u, v, consumed in _spec_options(tree, topo, spec, used):
-            cp = path_cost(tree, u, v)
-            if cp.cost != spec.cost:
-                continue
-            paths.append(cp)
+            paths.append(CoverPath(u, v, spec.cost))
             used.update(consumed)
             got = backtrack(i + 1, used, paths)
             if got is not None:
@@ -554,36 +551,32 @@ def _instantiate(tree: TaggedTree, topo: Topology, cs: Case) -> Cover | None:
 
 def _reduce_and_recurse(
     tree: TaggedTree, cs: Case, depth: int
-) -> tuple[int, Cover, list[str]] | None:
+) -> tuple[Cover, list[str]] | None:
     """Spend one in-traversal of the named class and recurse; every choice
-    of endpoints is tried and the cheapest valid outcome kept."""
-    best: tuple[int, Cover, list[str]] | None = None
+    of endpoints is tried and the cheapest valid cover kept."""
+    best: tuple[Cover, list[str]] | None = None
     for u, v in combinations(tree.leaf_classes()[cs.reduce_class], 2):
         first = path_cost(tree, u, v)
         reduced = reduce_by_paths(tree, [(u, v)])
         try:
-            sub_cost, sub_cover, sub_labels = optimal_cover_of_residual(reduced, _depth=depth - 1)
+            sub_cover, sub_labels = optimal_cover_of_residual(reduced, _depth=depth - 1)
         except (UnknownComposition, NoCaseMatched):
             continue
-        total = first.cost + sub_cost
-        if best is not None and total >= best[0]:
+        if best is not None and first.cost + sub_cover.total_cost >= best[0].total_cost:
             continue
-        lifted = lift_paths(tree, reduced, sub_cover.paths)
-        cover = Cover([first] + lifted)
+        cover = Cover([first] + lift_paths(tree, reduced, sub_cover.paths))
         try:
             cover.validate(tree)
         except PreconditionViolated:
             continue
-        if cover.total_cost != total:
-            continue
-        best = (total, cover, sub_labels)
+        best = (cover, sub_labels)
     return best
 
 
 def optimal_cover_of_residual(
     tree: TaggedTree, _depth: int = 16
-) -> tuple[int, Cover, list[str]]:
-    """Cost, witness cover and case labels for a residual tree.
+) -> tuple[Cover, list[str]]:
+    """Witness cover of least cost and case labels for a residual tree.
 
     Walks the composition's cases in table order and binds each recipe to
     the tree; a recipe binds only when its cover validates at the declared
@@ -600,23 +593,23 @@ def optimal_cover_of_residual(
     if cases is None:
         raise UnknownComposition(str(comp))
     topo = Topology(work)
-    best: tuple[int, Cover, list[str]] | None = None
+    best: tuple[Cover, list[str]] | None = None
     for cs in cases:
         if cs.reduce_class is not None:
             got = _reduce_and_recurse(work, cs, _depth)
             if got is None:
                 continue
-            cost, cover, sub_labels = got
+            cover, sub_labels = got
             labels = [f"{comp} {cs.label}"] + sub_labels
         else:
-            if best is not None and cs.cost >= best[0]:
+            if best is not None and cs.cost >= best[0].total_cost:
                 continue
             cover = _instantiate(work, topo, cs)
             if cover is None:
                 continue
-            cost, labels = cs.cost, [f"{comp} {cs.label}"]
-        if best is None or cost < best[0]:
-            best = (cost, cover, labels)
+            labels = [f"{comp} {cs.label}"]
+        if best is None or cover.total_cost < best[0].total_cost:
+            best = (cover, labels)
     if best is None:
         raise NoCaseMatched(str(comp))
     return best

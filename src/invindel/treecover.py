@@ -205,8 +205,8 @@ def _odd_cover(tree: TaggedTree, drop: int, end: int) -> Cover:
     return cover
 
 
-def tau_shared_tag(tree: TaggedTree) -> tuple[int, Cover]:
-    """Optimal cover cost when every leaf shares a common tag: ceil(l/2)."""
+def tau_shared_tag(tree: TaggedTree) -> Cover:
+    """Optimal cover when every leaf shares a common tag; it costs ceil(l/2)."""
     leaves = tree.leaves()
     if not leaves:
         raise PreconditionViolated("empty tree")
@@ -214,35 +214,33 @@ def tau_shared_tag(tree: TaggedTree) -> tuple[int, Cover]:
     if not shared:
         raise PreconditionViolated("leaves share no tag")
     if len(leaves) == 1:
-        return 1, Cover([path_cost(tree, leaves[0], leaves[0])])
+        return Cover([path_cost(tree, leaves[0], leaves[0])])
     if len(leaves) % 2 == 0:
-        cover = _traversal_cover(tree, tree)
-        return len(cover.paths), cover
-    return (len(leaves) + 1) // 2, _odd_cover(tree, leaves[0], leaves[1])
+        return _traversal_cover(tree, tree)
+    return _odd_cover(tree, leaves[0], leaves[1])
 
 
-def tau_all_clean(tree: TaggedTree) -> tuple[int, Cover]:
-    """Optimal cover cost when every leaf is clean: l, or l + 1 when l is
-    odd and every leaf branch is long (the fortress case)."""
+def tau_all_clean(tree: TaggedTree) -> Cover:
+    """Optimal cover when every leaf is clean; it costs l, or l + 1 when l
+    is odd and every leaf branch is long (the fortress case)."""
     leaves = tree.leaves()
     if not leaves:
         raise PreconditionViolated("empty tree")
     if any(tree.tags(u) for u in leaves):
         raise PreconditionViolated("tagged leaf present")
-    ell = len(leaves)
-    if ell == 1:
-        return 1, Cover([path_cost(tree, leaves[0], leaves[0])])
-    if ell % 2 == 0:
-        return ell, _traversal_cover(tree, tree)
+    if len(leaves) == 1:
+        return Cover([path_cost(tree, leaves[0], leaves[0])])
+    if len(leaves) % 2 == 0:
+        return _traversal_cover(tree, tree)
     short = [u for u in leaves if not branch_is_long(tree, u)]
     if short:
-        return ell, _odd_cover(tree, short[0], short[0])
-    return ell + 1, _odd_cover(tree, leaves[0], leaves[1])
+        return _odd_cover(tree, short[0], short[0])
+    return _odd_cover(tree, leaves[0], leaves[1])
 
 
 def closed_form(tree: TaggedTree):
-    """The closed form of the tree's cover cost and its trace label, or None
-    unless every leaf shares a tag or every leaf is clean."""
+    """The closed form giving the tree's optimal cover and its trace label,
+    or None unless every leaf shares a tag or every leaf is clean."""
     la, lb, lc, lab = tree.composition()
     if not lc and not (la and lb):
         return tau_shared_tag, "shared-tag"

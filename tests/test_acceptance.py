@@ -55,24 +55,27 @@ def test_criterion_2_residual_table_fidelity():
     rng = random.Random(2024)
     budget = OracleBudget(max_tree_nodes=40)
     t0 = time.time()
-    mismatches = 0
+    # each tree goes through the lookup alone and through tau* (the
+    # reducer's gates first); both must reach the optimum
+    mismatches = tau_mismatches = 0
     fired: set[str] = set()
     total = 0
     for comp in known_compositions():
         for _ in range(200):
             tree = random_residual_tree(comp, rng)
-            cost, cover, labels = optimal_cover_of_residual(tree)
+            cover, labels = optimal_cover_of_residual(tree)
             cover.validate(tree)
             fired.update(labels)
             total += 1
-            if cost != brute_force_tau(tree, budget):
-                mismatches += 1
+            want = brute_force_tau(tree, budget)
+            mismatches += cover.total_cost != want
+            tau_mismatches += tau_star(tree)[0] != want
     elapsed = time.time() - t0
     _report(
         "2 residual-table fidelity",
-        mismatches == 0 and elapsed < 120,
+        mismatches == tau_mismatches == 0 and elapsed < 120,
         f"({total} trees over 56 compositions, {len(fired)} distinct cases fired, "
-        f"{mismatches} mismatches, {elapsed:.0f}s)",
+        f"{mismatches} lookup and {tau_mismatches} tau* mismatches, {elapsed:.0f}s)",
     )
 
 
@@ -180,22 +183,28 @@ def _random_single_class_tree(rng: random.Random, tagged: bool) -> TaggedTree:
 
 
 def test_criterion_5_closed_forms():
-    from invindel.treecover import tau_all_clean, tau_shared_tag
+    from invindel.treecover import branch_is_long, tau_all_clean, tau_shared_tag
 
+    # the paper's closed forms, stated against the cost of the cover each
+    # returns: ceil(l/2) when the leaves share a tag; l when they are all
+    # clean, plus one exactly for an odd l with every leaf branch long
     rng = random.Random(55)
-    mismatches = 0
+    mismatches = fortresses = 0
     for _ in range(1000):
         tree = _random_single_class_tree(rng, tagged=True)
-        cost, cover = tau_shared_tag(tree)
+        cover = tau_shared_tag(tree)
         cover.validate(tree)
         ell = len(tree.leaves())
-        if cost != (ell + 1) // 2 or cost != brute_force_tau(tree):
+        if cover.total_cost != (ell + 1) // 2 or cover.total_cost != brute_force_tau(tree):
             mismatches += 1
     for _ in range(1000):
         tree = _random_single_class_tree(rng, tagged=False)
-        cost, cover = tau_all_clean(tree)
+        cover = tau_all_clean(tree)
         cover.validate(tree)
-        if cost != brute_force_tau(tree):
+        leaves = tree.leaves()
+        fortress = len(leaves) % 2 == 1 and all(branch_is_long(tree, u) for u in leaves)
+        fortresses += fortress
+        if cover.total_cost != len(leaves) + fortress or cover.total_cost != brute_force_tau(tree):
             mismatches += 1
     potentials_ok = [indel_potential(k) for k in (0, 1, 2)] == [0, 1, 2] and all(
         indel_potential(k) == k // 2 + 1 for k in range(4, 22, 2)
@@ -203,7 +212,7 @@ def test_criterion_5_closed_forms():
     _report(
         "5 closed forms",
         mismatches == 0 and potentials_ok,
-        f"(2000 single-class trees, {mismatches} mismatches)",
+        f"(2000 single-class trees, {fortresses} fortresses, {mismatches} mismatches)",
     )
 
 

@@ -8,6 +8,7 @@ from conftest import bt
 import trees as fig
 
 from invindel import reduction
+from invindel.cli import tau_star
 from invindel.components import reduce_by_paths
 from invindel.errors import BudgetExceeded, DegenerateTree, PreconditionViolated
 from invindel.oracle import OracleBudget, brute_force_tau, random_tagged_tree
@@ -19,6 +20,7 @@ from invindel.reduction import (
     compute_residual,
     essential_leaf,
 )
+from invindel.residual import optimal_cover_of_residual
 from invindel.treecover import analyze_topology, cover_floor
 
 
@@ -175,18 +177,26 @@ def test_essential_leaf_requires_three():
         essential_leaf(fig.SOLO_I, [2, 4])
 
 
+def _kept_clean(res, leaf) -> bool:
+    """Whether the reduction kept a clean leaf for the residual stage: no
+    clean step ends at it and it is a leaf of the residual tree."""
+    return leaf in res.residual.leaves() and not any(
+        leaf in s.path for s in res.steps if s.leaf_class == "C"
+    )
+
+
 def test_compute_residual_worked_example():
     res = compute_residual(fig.REDUCTION3)
-    assert res.reduction_cost == 7
+    assert sum(s.cost for s in res.steps) == 7
     assert res.residual.composition() == (2, 1, 1, 3)
-    assert res.solo_leaf in (39, 40)
+    assert any(_kept_clean(res, u) for u in (39, 40))
     topo = analyze_topology(res.residual)
     assert topo.isolated["A"] and topo.isolated["B"]
     assert not topo.isolated["C"] and not topo.isolated["AB"]
-    # the full certificate re-validates on the input tree
-    cover = res.full_cover()
-    cover.validate(fig.REDUCTION3)
-    assert cover.total_cost == res.total_cost
+    # the full certificate re-validates on the input tree, and lifting the
+    # lookup cover into it keeps the lookup's cost
+    res.full_cover().validate(fig.REDUCTION3)
+    assert res.total_cost == 7 + optimal_cover_of_residual(res.residual)[0].total_cost
 
 
 def test_compute_residual_rejects_degenerate():
@@ -253,9 +263,9 @@ def test_reduction_safety_random(rng):
             continue
         checked += 1
         res = compute_residual(tree)
-        assert res.reduction_cost + brute_force_tau(res.residual, budget) == brute_force_tau(
-            tree, budget
-        )
+        assert sum(s.cost for s in res.steps) + brute_force_tau(
+            res.residual, budget
+        ) == brute_force_tau(tree, budget)
         cover = res.full_cover()
         cover.validate(tree)
         assert cover.total_cost == res.total_cost == brute_force_tau(tree, budget)
@@ -299,13 +309,20 @@ def test_clean_class_of_six_with_solo():
     clean_steps = [s for s in res.steps if s.leaf_class == "C"]
     assert sum(s.cost for s in clean_steps) == 4
     # keeping the short-branch candidate beats every other hypothesis here
-    assert res.solo_leaf == 5
-    assert 5 in res.residual.leaves()
+    assert _kept_clean(res, 5)
     wide = OracleBudget(max_tree_nodes=18)
-    assert brute_force_tau(tree, wide) == res.reduction_cost + brute_force_tau(
+    assert brute_force_tau(tree, wide) == sum(s.cost for s in res.steps) + brute_force_tau(
         res.residual, wide
     )
     assert res.total_cost == brute_force_tau(tree, wide) == 8
+
+
+def test_ab_gate_keeps_three_ab_leaves_for_the_lookup():
+    tree = fig.AB_GATE_2023
+    assert tree.composition() == (2, 0, 2, 3)
+    res = compute_residual(tree)
+    assert res.residual.composition() == (2, 0, 2, 3)
+    assert tau_star(tree)[0] == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == 5
 
 
 def _mixed(tree):
@@ -318,7 +335,7 @@ def _mixed(tree):
 
 def _outcome(tree):
     res = compute_residual(tree)
-    return res.total_cost, res.steps, res.solo_leaf, res.case_trace, res.lookup_cover
+    return res.total_cost, res.steps, res.case_trace, res.lookup_cover
 
 
 def test_leaf_bound_exit_matches_full_scan(monkeypatch):
@@ -343,16 +360,16 @@ def test_clean_phase_stops_at_leaf_bound(monkeypatch):
     # the count form of a scaling gate: a full scan evaluates 28 hypotheses
     tree = random_tagged_tree(random.Random(0), 300, 200)
     assert len(tree) == 161 and tree.composition() == (18, 9, 40, 13)
-    solos = []
+    calls = []
     inner = reduction._result_for
 
-    def counting(branch, solo, depth):
-        solos.append(solo)
-        return inner(branch, solo, depth)
+    def counting(branch, depth):
+        calls.append(branch)
+        return inner(branch, depth)
 
     monkeypatch.setattr(reduction, "_result_for", counting)
     assert compute_residual(tree).total_cost == cover_floor(tree)
-    assert len(solos) == 1
+    assert len(calls) == 1
 
 
 def test_pipeline_depth_guard_raises():

@@ -50,41 +50,41 @@ def test_table_holds_no_duplicate_case():
 
 
 def test_lookup_2200_topologies():
-    assert optimal_cover_of_residual(fig.L2200_COROOTED)[0] == 2
-    assert optimal_cover_of_residual(fig.L2200_SHORTLINK)[0] == 3
-    assert optimal_cover_of_residual(fig.L2200_MATE)[0] == 3
-    assert optimal_cover_of_residual(fig.L2200_LONGLINK)[0] == 4
+    assert optimal_cover_of_residual(fig.L2200_COROOTED)[0].total_cost == 2
+    assert optimal_cover_of_residual(fig.L2200_SHORTLINK)[0].total_cost == 3
+    assert optimal_cover_of_residual(fig.L2200_MATE)[0].total_cost == 3
+    assert optimal_cover_of_residual(fig.L2200_LONGLINK)[0].total_cost == 4
 
 
 def test_lookup_1130_and_reductions():
-    cost, cover, labels = optimal_cover_of_residual(fig.L1130_NONREDUCIBLE)
-    assert cost == 5 and labels[0].endswith("S")
-    assert optimal_cover_of_residual(fig.L1130_RED_I)[0] == 5
-    assert optimal_cover_of_residual(fig.L1130_RED_II)[0] == 5
-    assert optimal_cover_of_residual(fig.L1130_RED_III)[0] == 6
+    cover, labels = optimal_cover_of_residual(fig.L1130_NONREDUCIBLE)
+    assert cover.total_cost == 5 and labels[0].endswith("S")
+    assert optimal_cover_of_residual(fig.L1130_RED_I)[0].total_cost == 5
+    assert optimal_cover_of_residual(fig.L1130_RED_II)[0].total_cost == 5
+    assert optimal_cover_of_residual(fig.L1130_RED_III)[0].total_cost == 6
 
 
 def test_lookup_2223_topologies():
     for tree in (fig.L2223_NR_I, fig.L2223_NR_II, fig.L2223_NR_III):
-        assert optimal_cover_of_residual(tree)[0] == 6
+        assert optimal_cover_of_residual(tree)[0].total_cost == 6
     for tree in (fig.L2223_R_I, fig.L2223_R_II, fig.L2223_R_III, fig.L2223_R_IV):
-        cost, cover, labels = optimal_cover_of_residual(tree)
-        assert cost == 6
-    cost, cover, labels = optimal_cover_of_residual(fig.L2223_R_V)
-    assert cost == 7
+        cover, labels = optimal_cover_of_residual(tree)
+        assert cover.total_cost == 6
+    cover, labels = optimal_cover_of_residual(fig.L2223_R_V)
+    assert cover.total_cost == 7
     assert any(">>" in lab for lab in labels)
 
 
 def test_lookup_simple_compositions():
     two = bt({0: "bA", 1: "b", 2: "bB"}, [(0, 1), (1, 2)])
-    assert optimal_cover_of_residual(two)[0] == 2  # any (1,1,0,0) topology
+    assert optimal_cover_of_residual(two)[0].total_cost == 2  # any (1,1,0,0) topology
 
     solo = bt(
         {0: "b", 1: "b", 2: "b", 3: "bAB"},
         [(0, 1), (0, 2), (0, 3)],
     )
-    cost, cover, labels = optimal_cover_of_residual(solo)
-    assert cost == 3  # short clean branch beside a tagged leaf
+    cover, labels = optimal_cover_of_residual(solo)
+    assert cover.total_cost == 3  # short clean branch beside a tagged leaf
 
 
 def test_lookup_rejects_unknown_composition():
@@ -116,15 +116,14 @@ def test_lookup_agrees_with_search_per_composition(rng):
     for comp in known_compositions():
         for _ in range(12):
             tree = random_residual_tree(comp, rng)
-            cost, cover, labels = optimal_cover_of_residual(tree)
+            cover, labels = optimal_cover_of_residual(tree)
             cover.validate(tree)
-            assert cover.total_cost == cost
-            assert cost == brute_force_tau(tree, budget), (comp, labels)
+            assert cover.total_cost == brute_force_tau(tree, budget), (comp, labels)
 
 
 def test_case_order_preserved_in_labels():
     # the first case in table order that binds at the optimum is reported
-    cost, cover, labels = optimal_cover_of_residual(fig.L2200_COROOTED)
+    cover, labels = optimal_cover_of_residual(fig.L2200_COROOTED)
     assert labels[0] == "(2, 2, 0, 0) I"
 
 
@@ -134,7 +133,7 @@ def test_witness_paths_respect_costs(rng):
     for comp in [(2, 2, 0, 0), (2, 2, 2, 0), (2, 1, 2, 2), (2, 2, 2, 3)]:
         for _ in range(20):
             tree = random_residual_tree(comp, rng)
-            cost, cover, _ = optimal_cover_of_residual(tree)
+            cover, _ = optimal_cover_of_residual(tree)
             for p in cover.paths:
                 assert path_cost(tree, p.u, p.v).cost == p.cost
 
@@ -143,9 +142,9 @@ def test_predicate_misses_reach_the_optimum():
     budget = OracleBudget(max_tree_nodes=16)
     for name, tree, cost in fig.PREDICATE_MISSES:
         assert brute_force_tau(tree, budget) == cost, name
-        got, cover, labels = optimal_cover_of_residual(tree)
+        cover, labels = optimal_cover_of_residual(tree)
         cover.validate(tree)
-        assert got == cover.total_cost == cost, name
+        assert cover.total_cost == cost, name
 
 
 def test_recipe_budget_raises(monkeypatch):
@@ -188,7 +187,7 @@ def test_every_row_is_chosen_on_some_tree():
         for _ in range(200):
             tree = random_residual_tree(comp, rng)
             if own & unchosen:
-                unchosen.difference_update(optimal_cover_of_residual(tree)[2])
+                unchosen.difference_update(optimal_cover_of_residual(tree)[1])
     assert unchosen == {f"{comp} {label}" for comp, label, _ in fig.PINNED_ROWS}
 
 
@@ -196,13 +195,13 @@ def test_every_row_is_chosen_on_some_tree():
     "comp, label, tree", fig.PINNED_ROWS, ids=[f"{c}-{lab}" for c, lab, _ in fig.PINNED_ROWS]
 )
 def test_pinned_row_is_needed(monkeypatch, comp, label, tree):
-    cost, cover, labels = optimal_cover_of_residual(tree)
+    cover, labels = optimal_cover_of_residual(tree)
     assert labels == [f"{comp} {label}"]
-    assert cost == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == 4
+    assert cover.total_cost == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == 4
     monkeypatch.setitem(TABLE, comp, [cs for cs in TABLE[comp] if cs.label != label])
-    cost, cover, labels = optimal_cover_of_residual(tree)
+    cover, labels = optimal_cover_of_residual(tree)
     cover.validate(tree)
-    assert cost == 5
+    assert cover.total_cost == 5
 
 
 def _connected_full_pairing(comp, recipe) -> bool:

@@ -125,23 +125,23 @@ def test_shared_tag_costs():
         {0: "g", 1: "bA", 2: "bA", 3: "bA", 4: "bA"},
         [(0, 1), (0, 2), (0, 3), (0, 4)],
     )
-    cost, cover = tau_shared_tag(star4)
-    assert cost == 2
+    cover = tau_shared_tag(star4)
+    assert cover.total_cost == 2
     cover.validate(star4)
 
     pair = bt({0: "bA", 1: "b", 2: "bA"}, [(0, 1), (1, 2)])
-    cost, cover = tau_shared_tag(pair)
-    assert cost == 1
+    cover = tau_shared_tag(pair)
+    assert cover.total_cost == 1
     cover.validate(pair)
 
     five = bt(
         {0: "g", 1: "bA", 2: "bA", 3: "bAB", 4: "bA", 5: "bAB"},
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
     )
-    cost, cover = tau_shared_tag(five)
-    assert cost == 3
+    cover = tau_shared_tag(five)
+    assert cover.total_cost == 3
     cover.validate(five)
-    assert cost == brute_force_tau(five)
+    assert cover.total_cost == brute_force_tau(five)
 
 
 def test_shared_tag_precondition():
@@ -155,34 +155,34 @@ def test_all_clean_costs():
         {0: "g", 1: "b", 2: "b", 3: "b", 4: "b"},
         [(0, 1), (0, 2), (0, 3), (0, 4)],
     )
-    cost, cover = tau_all_clean(star4)
-    assert cost == 4
+    cover = tau_all_clean(star4)
+    assert cover.total_cost == 4
     cover.validate(star4)
 
     fortress = bt(
         {0: "g", 1: "b", 2: "b", 3: "b", 4: "b", 5: "b", 6: "b"},
         [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
     )
-    cost, cover = tau_all_clean(fortress)
-    assert cost == 4  # three leaves, all branches long
+    cover = tau_all_clean(fortress)
+    assert cover.total_cost == 4  # three leaves, all branches long
     cover.validate(fortress)
-    assert cost == brute_force_tau(fortress)
+    assert cover.total_cost == brute_force_tau(fortress)
 
     one_short = bt(
         {0: "g", 1: "b", 2: "b", 3: "b", 4: "b", 5: "b"},
         [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)],
     )
-    cost, cover = tau_all_clean(one_short)
-    assert cost == 3
+    cover = tau_all_clean(one_short)
+    assert cover.total_cost == 3
     cover.validate(one_short)
-    assert cost == brute_force_tau(one_short)
+    assert cover.total_cost == brute_force_tau(one_short)
 
 
 def test_single_node_trees():
     lone_tagged = bt({0: "bA"}, [])
-    assert tau_shared_tag(lone_tagged)[0] == 1
+    assert tau_shared_tag(lone_tagged).total_cost == 1
     lone_clean = bt({0: "b"}, [])
-    assert tau_all_clean(lone_clean)[0] == 1
+    assert tau_all_clean(lone_clean).total_cost == 1
 
 
 def test_closed_forms_match_search(rng):
@@ -191,13 +191,13 @@ def test_closed_forms_match_search(rng):
         leaves = tree.leaves()
         shared = frozenset.intersection(*(tree.tags(u) for u in leaves))
         if shared:
-            cost, cover = tau_shared_tag(tree)
+            cover = tau_shared_tag(tree)
         elif all(not tree.tags(u) for u in leaves):
-            cost, cover = tau_all_clean(tree)
+            cover = tau_all_clean(tree)
         else:
             continue
         cover.validate(tree)
-        assert cost == brute_force_tau(tree)
+        assert cover.total_cost == brute_force_tau(tree)
 
 
 def test_leaf_branches():

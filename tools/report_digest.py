@@ -11,9 +11,9 @@ the SHA-256 over the pairs' reports, each as its sorted-keys ``to_dict()``
 JSON on its own line, or as the class and message of the error it raised.
 
 With ``--trees`` it prints one line ``trees <count> <sha256>``: the SHA-256
-over what ``tau_star`` returns on each tree (cost, cover paths, reduction
-steps, solo leaf, case trace and lookup cover), one JSON line per tree, or
-the class and message of the error it raised.  The
+over what ``tau_star`` returns on each tree (cost, cover paths, case
+trace and, for a reduced tree, its reduction steps and lookup cover), one
+JSON line per tree, or the class and message of the error it raised.  The
 trees are acceptance criterion 3's 10,000 (seed 33), 60 of up to 300 nodes
 (``random_tagged_tree(Random(s), 300, 200)``, s < 60) and 100 residual trees
 of each table composition (one ``Random(2024)``).
@@ -73,7 +73,7 @@ def tau_line(tree) -> str:
     out = [cost, paths(cover), trace]
     if res is not None:
         steps = [(s.kind, s.path, s.cost, s.leaf_class) for s in res.steps]
-        out += [steps, res.solo_leaf, paths(res.lookup_cover)]
+        out += [steps, paths(res.lookup_cover)]
     return json.dumps(out)
 
 
