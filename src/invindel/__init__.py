@@ -12,7 +12,12 @@ from .genome import (
     parse_chromosome,
     read_pair_file,
 )
-from .oracle import OracleBudget, brute_force_distance, brute_force_tau
+from .oracle import (
+    OracleBudget,
+    brute_force_distance,
+    brute_force_linear_distance,
+    brute_force_tau,
+)
 from .reduction import ResidualResult, compute_residual
 from .residual import optimal_cover_of_residual
 from .treecover import Cover, CoverPath, analyze_topology, tau_all_clean, tau_shared_tag
@@ -29,6 +34,7 @@ __all__ = [
     "TaggedTree",
     "analyze_topology",
     "brute_force_distance",
+    "brute_force_linear_distance",
     "brute_force_tau",
     "build_relational_diagram",
     "cap_linear_pair",

@@ -35,7 +35,7 @@ from .oracle import (
 )
 from .reduction import ResidualResult, compute_residual
 from .residual import known_compositions, optimal_cover_of_residual
-from .treecover import Cover, analyze_topology, closed_form
+from .treecover import Cover, analyze_topology, closed_form, cover_floor
 
 
 @dataclass
@@ -284,6 +284,10 @@ def _cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
 
+    # every brute-forced optimum also checks the leaf bound both tau*
+    # searches stop at
+    bound_ok = bound_total = 0
+
     trials = args.trials
     ok = 0
     for _ in range(trials):
@@ -291,6 +295,8 @@ def _cmd_verify(args) -> int:
         want = brute_force_tau(tree)
         got = tau_star(tree)[0]
         ok += want == got
+        bound_ok += want >= cover_floor(tree)
+    bound_total += trials
     print(f"tree covers: {ok}/{trials} agree")
     failures += trials - ok
 
@@ -305,9 +311,12 @@ def _cmd_verify(args) -> int:
             total += 1
             ok += want == optimal_cover_of_residual(tree)[0].total_cost
             ok_tau += want == tau_star(tree)[0]
+            bound_ok += want >= cover_floor(tree)
+    bound_total += total
     print(f"residual lookups: {ok}/{total} agree")
     print(f"residual trees through tau*: {ok_tau}/{total} agree")
-    failures += 2 * total - ok - ok_tau
+    print(f"leaf bound: {bound_ok}/{bound_total} hold")
+    failures += 2 * total - ok - ok_tau + bound_total - bound_ok
 
     ok = 0
     dist_trials = max(1, trials // 10)

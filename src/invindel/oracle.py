@@ -2,11 +2,12 @@
 
 Two oracles back the whole artifact: an exhaustive minimum-cost cover
 search on tagged trees, and a breadth-first search over genome states for
-the full distance.  Both are deliberately simple: they read their inputs
-through the production tree and genome types, but price paths, search
-covers and apply operations with their own code.  Random instance
-generators for the fuzz suites live here as well; they build their trees
-with the production contraction, since they make inputs, not answers.
+the full distance, circular or linear.  Both are deliberately simple: they
+read their inputs through the production tree and genome types, but price
+paths, search covers and apply operations with their own code.  Random
+instance generators for the fuzz suites live here as well; they build
+their trees with the production contraction, since they make inputs, not
+answers.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ from functools import lru_cache
 from itertools import combinations, count, permutations, product
 
 from .components import TaggedTree, contract
-from .errors import BudgetExceeded
-from .genome import Chromosome, GenomePair, Marker, classify_markers, parse_chromosome
+from .errors import BudgetExceeded, NotLinear
+from .genome import (
+    LINEAR,
+    Chromosome,
+    GenomePair,
+    Marker,
+    classify_markers,
+    parse_chromosome,
+)
 
 
 @dataclass(frozen=True)
@@ -147,26 +155,38 @@ def canonical_tokens(seq: tuple[str, ...]) -> tuple[str, ...]:
     return best
 
 
+def _linear_canonical(seq: tuple[str, ...]) -> tuple[str, ...]:
+    """Lesser of the two reading directions of a linear sequence."""
+    return min(seq, _revflip(seq))
+
+
 def _neighbors(
-    seq: tuple[str, ...], exclusives: tuple[str, ...], b_only: frozenset[str]
+    seq: tuple[str, ...], exclusives: tuple[str, ...], b_only: frozenset[str], circular: bool
 ) -> set[tuple[str, ...]]:
     """States one operation away, walking the sorting relation backwards
     from the target: inversions, re-insertions of absent exclusive blocks
     (reverse deletions), and removals of target-exclusive blocks (reverse
-    insertions)."""
+    insertions).  A block goes into any of the n places of a circle or the
+    n + 1 of a line."""
     n = len(seq)
+    canonical = canonical_tokens if circular else _linear_canonical
+    # segments seq[i:j] of each read: a circle is read from each of its
+    # cuts, with segments starting the read and never spanning all of it
+    if circular:
+        reads = [(seq[i:] + seq[:i], 0, n) for i in range(n)]
+    else:
+        reads = [(seq, i, n + 1) for i in range(n)]
     out: set[tuple[str, ...]] = set()
-    rotations = [seq[i:] + seq[:i] for i in range(n)]
-    for rot in rotations:
-        for length in range(1, n):
-            out.add(canonical_tokens(_revflip(rot[:length]) + rot[length:]))
-    for rot in rotations:
-        for length in range(1, n):
-            if _tok_name(rot[length - 1]) not in b_only:
+    for read, i, stop in reads:
+        for j in range(i + 1, stop):
+            out.add(canonical(read[:i] + _revflip(read[i:j]) + read[j:]))
+        for j in range(i + 1, stop):
+            if _tok_name(read[j - 1]) not in b_only:
                 break
-            out.add(canonical_tokens(rot[length:]))
+            out.add(canonical(read[:i] + read[j:]))
     present = {_tok_name(t) for t in seq}
     absent = [m for m in exclusives if m not in present]
+    places = range(n if circular else n + 1)
     for r in range(1, len(absent) + 1):
         for subset in combinations(absent, r):
             for perm in permutations(subset):
@@ -174,8 +194,8 @@ def _neighbors(
                     block = tuple(
                         (_SIGN + m) if neg else m for m, neg in zip(perm, signs)
                     )
-                    for i in range(n):
-                        out.add(canonical_tokens(seq[:i] + block + seq[i:]))
+                    for i in places:
+                        out.add(canonical(seq[:i] + block + seq[i:]))
     return out
 
 
@@ -185,6 +205,7 @@ def _target_distances(
     exclusives: tuple[str, ...],
     b_only: frozenset[str],
     max_states: int,
+    circular: bool,
 ) -> dict[tuple[str, ...], int]:
     dist = {target: 0}
     frontier = [target]
@@ -193,7 +214,7 @@ def _target_distances(
         d += 1
         nxt = []
         for state in frontier:
-            for nb in _neighbors(state, exclusives, b_only):
+            for nb in _neighbors(state, exclusives, b_only, circular):
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)
@@ -203,21 +224,39 @@ def _target_distances(
     return dist
 
 
-def brute_force_distance(pair: GenomePair, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Exact distance by breadth-first search over canonicalized circular
-    states; moves are segment inversions, deletions of common-free blocks,
-    and insertions of absent target-exclusive blocks."""
+def _search_distance(pair: GenomePair, budget: OracleBudget, circular: bool) -> int:
     if len(pair.common) > budget.max_common:
         raise BudgetExceeded(f"{len(pair.common)} common markers")
     if len(pair.a_only) + len(pair.b_only) > budget.max_exclusive:
         raise BudgetExceeded("too many exclusive markers")
+    canonical = canonical_tokens if circular else _linear_canonical
     table = _target_distances(
-        canonical_tokens(pair.b.tokens()),
+        canonical(pair.b.tokens()),
         tuple(sorted(pair.a_only | pair.b_only)),
         frozenset(pair.b_only),
         budget.max_states,
+        circular,
     )
-    return table[canonical_tokens(pair.a.tokens())]
+    return table[canonical(pair.a.tokens())]
+
+
+def brute_force_distance(pair: GenomePair, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """Exact distance by breadth-first search over canonicalized circular
+    states; moves are segment inversions, deletions of common-free blocks,
+    and insertions of absent target-exclusive blocks."""
+    return _search_distance(pair, budget, circular=True)
+
+
+def brute_force_linear_distance(
+    pair: GenomePair, budget: OracleBudget = DEFAULT_BUDGET
+) -> int:
+    """Exact distance between two linear chromosomes: the circular search
+    without rotations.  A state is kept as the lesser of its two reading
+    directions, inversions act on any segment, and blocks are inserted at
+    any of the n + 1 places.  It shares no code with the capping."""
+    if pair.a.shape != LINEAR:
+        raise NotLinear("both chromosomes must be linear")
+    return _search_distance(pair, budget, circular=False)
 
 
 def anchor_invariance_check(pair: GenomePair) -> dict[str, int]:

@@ -5,7 +5,8 @@ in-traversals (and to one through an essential-leaf choice when three
 remain); the clean class is reduced while testing which clean short-branch
 leaf, if any, should survive as the solo leaf.  The test stops at the first
 hypothesis whose total reaches the input tree's leaf bound
-(`treecover.cover_floor`), which no cover can beat.  Every spent
+(`treecover.cover_floor`), which no cover can beat; the residual lookup
+stops its case walk at the residual tree's bound the same way.  Every spent
 in-traversal is recorded, re-expressed in the input tree, so the final
 cover can be assembled and checked end to end.
 """

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .components import CLASS_TAGS, TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, NoCaseMatched, PreconditionViolated, UnknownComposition
-from .treecover import Cover, CoverPath, Topology, lift_paths, path_cost
+from .treecover import Cover, CoverPath, Topology, cover_floor, lift_paths, path_cost
 
 A = frozenset({"A"})
 B = frozenset({"B"})
@@ -581,9 +581,15 @@ def optimal_cover_of_residual(
     Walks the composition's cases in table order and binds each recipe to
     the tree; a recipe binds only when its cover validates at the declared
     cost, so every candidate is a real cover.  A case that cannot beat the
-    best cover found so far is skipped, and reduce cases are always tried.
-    Costs never decrease along a case list, so the answer is the first case
-    whose recipe binds at the minimum cost.
+    best cover found so far is skipped; a reduce case, whose cost is known
+    only once it has run, is tried while the walk goes on.  Costs never
+    decrease along a case list, so the answer is the first case whose
+    recipe binds at the minimum cost.
+
+    The walk stops once the best cover costs the tree's leaf bound
+    (`treecover.cover_floor`).  A later case, reduce cases included,
+    replaces the best only at a strictly lower cost, and no cover costs
+    less than the bound, so the stop changes no answer.
     """
     if _depth <= 0:
         raise BudgetExceeded("reduction recursion too deep")
@@ -593,6 +599,7 @@ def optimal_cover_of_residual(
     if cases is None:
         raise UnknownComposition(str(comp))
     topo = Topology(work)
+    floor = cover_floor(work)
     best: tuple[Cover, list[str]] | None = None
     for cs in cases:
         if cs.reduce_class is not None:
@@ -610,6 +617,8 @@ def optimal_cover_of_residual(
             labels = [f"{comp} {cs.label}"]
         if best is None or cover.total_cost < best[0].total_cost:
             best = (cover, labels)
+            if cover.total_cost <= floor:
+                break
     if best is None:
         raise NoCaseMatched(str(comp))
     return best

@@ -11,6 +11,7 @@ the topology trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -169,23 +170,37 @@ def solo_candidates(tree: TaggedTree) -> list[int]:
 
 def cover_floor(tree: TaggedTree) -> int:
     """Lower bound on the cost of every cover of the tree, from its leaves
-    alone: lc + ceil((la + lb + lab) / 2) over its bad leaves.
+    alone: lc + ceil((la + lb + lab) / 2) over its bad leaves, plus 1 when
+    la and lb are odd and lab is 0.
 
     Proof.  Every leaf of a contracted tree is bad, so it must be covered,
     and a path can reach a node of degree at most one only by ending there:
-    each leaf is an endpoint of some cover path.  Charge each leaf to one
-    path ending at it; a path ends at no more than two leaves.  A path
-    ending at a clean leaf costs 1 per leaf it ends at: a short path costs
-    1, and a long one costs 2 because an empty tag set shares nothing.  Any
-    other path costs at least 1, so at least 1/2 per leaf.  Summing the
-    charges gives lc + (la + lb + lab) / 2, and a cost is an integer.
+    each leaf is an endpoint of some cover path.  Charge each clean leaf 1
+    and each tagged leaf 1/2 to one path ending at it; a path ends at no
+    more than two leaves.  A path ending at a clean leaf costs at least its
+    charges: a short path costs 1, and a long one costs 2 because an empty
+    tag set shares nothing.  Any other path costs at least 1, so at least
+    its charges too.  Summing gives lc + (la + lb + lab) / 2, and a cost is
+    an integer.
+
+    Parity.  A path charged with two tagged leaves costs 1 only when they
+    share a tag.  With lab = 0, A leaves share a tag only with A leaves and
+    B leaves only with B leaves.  If la is odd, some A leaf's path holds no
+    other charged A leaf; its other end is a clean leaf (cost 2 against
+    charges of 3/2), a B leaf (2 against 1) or anything else (at least 1
+    against 1/2), so it has at least 1/2 of slack.  If lb is odd too, some
+    B leaf's path has 1/2 of slack as well, and when both are one A-B path
+    that path has 1.  The slack sums to at least 1 while la + lb is even,
+    which gives the extra 1.  In every other composition the tagged leaves
+    pair into tag-sharing pairs with at most one left over, and the bound
+    is the plain one.
 
     Good leaves (absent after contraction) are left out, so the bound holds
     for any tree.
     """
-    leaves = [u for u in tree.leaves() if tree.is_bad(u)]
-    clean = sum(1 for u in leaves if not tree.tags(u))
-    return clean + (len(leaves) - clean + 1) // 2
+    counts = Counter(tree.tags(u) for u in tree.leaves() if tree.is_bad(u))
+    la, lb, lc, lab = (counts[CLASS_TAGS[c]] for c in ("A", "B", "C", "AB"))
+    return lc + (la + lb + lab + 1) // 2 + (la % 2 == lb % 2 == 1 and lab == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from invindel.oracle import (
     structured_genome_pair,
 )
 from invindel.residual import known_compositions, optimal_cover_of_residual
+from invindel.treecover import cover_floor
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -56,8 +57,9 @@ def test_criterion_2_residual_table_fidelity():
     budget = OracleBudget(max_tree_nodes=40)
     t0 = time.time()
     # each tree goes through the lookup alone and through tau* (the
-    # reducer's gates first); both must reach the optimum
-    mismatches = tau_mismatches = 0
+    # reducer's gates first); both must reach the optimum, and the leaf
+    # bound that stops both searches must not exceed it
+    mismatches = tau_mismatches = above_optimum = 0
     fired: set[str] = set()
     total = 0
     for comp in known_compositions():
@@ -70,12 +72,14 @@ def test_criterion_2_residual_table_fidelity():
             want = brute_force_tau(tree, budget)
             mismatches += cover.total_cost != want
             tau_mismatches += tau_star(tree)[0] != want
+            above_optimum += want < cover_floor(tree)
     elapsed = time.time() - t0
     _report(
         "2 residual-table fidelity",
-        mismatches == tau_mismatches == 0 and elapsed < 120,
+        mismatches == tau_mismatches == above_optimum == 0 and elapsed < 120,
         f"({total} trees over 56 compositions, {len(fired)} distinct cases fired, "
-        f"{mismatches} lookup and {tau_mismatches} tau* mismatches, {elapsed:.0f}s)",
+        f"{mismatches} lookup and {tau_mismatches} tau* mismatches, "
+        f"{above_optimum} leaf bounds above the optimum, {elapsed:.0f}s)",
     )
 
 

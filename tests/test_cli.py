@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bt
 
+from invindel import cli
 from invindel.cli import build_parser, compute_distance, distance_report, main, tau_star
 from invindel.errors import AnchorNotCommon, InvindelError
 from invindel.genome import LINEAR, GenomePair, classify_markers, parse_chromosome
@@ -305,6 +306,15 @@ def test_cli_verify_smoke(capsys):
     assert main(["verify", "--trials", "12", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "verify: PASS" in out
+    # 12 random trees and one residual tree per table composition
+    assert "leaf bound: 68/68 hold" in out
+
+
+def test_cli_verify_counts_a_leaf_bound_above_the_optimum(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cover_floor", lambda tree: 99)
+    assert main(["verify", "--trials", "12", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "leaf bound: 0/68 hold" in out and "verify: FAIL (68)" in out
 
 
 def test_cli_bench_smoke(capsys):

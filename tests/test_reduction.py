@@ -7,7 +7,7 @@ from conftest import bt
 
 import trees as fig
 
-from invindel import reduction
+from invindel import reduction, residual
 from invindel.cli import tau_star
 from invindel.components import reduce_by_paths
 from invindel.errors import BudgetExceeded, DegenerateTree, PreconditionViolated
@@ -344,22 +344,28 @@ def test_leaf_bound_exit_matches_full_scan(monkeypatch):
     small = [random_tagged_tree(rng, max_nodes=12, max_leaves=8) for _ in range(10_000)]
     trees = [t for t in big + small if _mixed(t)]
     early = [_outcome(t) for t in trees]
-    floors = []
+    floors, lookup_floors = [], []
 
     def no_floor(tree):
         floors.append(tree)
         return -1  # no total reaches it, so every hypothesis is tried
 
+    def no_lookup_floor(tree):
+        lookup_floors.append(tree)
+        return -1  # no cover reaches it, so every case is walked
+
     monkeypatch.setattr(reduction, "cover_floor", no_floor)
+    monkeypatch.setattr(residual, "cover_floor", no_lookup_floor)
     assert [_outcome(t) for t in trees] == early
-    # one floor per compute_residual, shared by forks and nested runs
+    # one floor per compute_residual, shared by forks and nested runs, and
+    # one per residual lookup
     assert floors == trees
+    assert len(lookup_floors) >= len(trees)
 
 
-def test_clean_phase_stops_at_leaf_bound(monkeypatch):
-    # the count form of a scaling gate: a full scan evaluates 28 hypotheses
-    tree = random_tagged_tree(random.Random(0), 300, 200)
-    assert len(tree) == 161 and tree.composition() == (18, 9, 40, 13)
+def _count_hypotheses(monkeypatch) -> list:
+    """The branches `_result_for` is called on from now on, one per
+    solo-leaf hypothesis evaluated (or re-run after a three-to-one)."""
     calls = []
     inner = reduction._result_for
 
@@ -368,8 +374,32 @@ def test_clean_phase_stops_at_leaf_bound(monkeypatch):
         return inner(branch, depth)
 
     monkeypatch.setattr(reduction, "_result_for", counting)
+    return calls
+
+
+def test_clean_phase_stops_at_leaf_bound(monkeypatch):
+    # the count form of a scaling gate: a full scan evaluates 28 hypotheses
+    tree = random_tagged_tree(random.Random(0), 300, 200)
+    assert len(tree) == 161 and tree.composition() == (18, 9, 40, 13)
+    calls = _count_hypotheses(monkeypatch)
     assert compute_residual(tree).total_cost == cover_floor(tree)
     assert len(calls) == 1
+
+
+def test_clean_phase_stops_at_parity_bound(monkeypatch):
+    # one A leaf, one B leaf and no AB leaf: the parity term lifts the leaf
+    # bound to the optimum, so the first of the six hypotheses a full scan
+    # evaluates ends the search
+    tree = random_tagged_tree(random.Random(379), 300, 200)
+    assert len(tree) == 15 and tree.composition() == (1, 1, 6, 0)
+    calls = _count_hypotheses(monkeypatch)
+    total = compute_residual(tree).total_cost
+    assert total == cover_floor(tree) == 8
+    assert total == brute_force_tau(tree, OracleBudget(max_tree_nodes=40))
+    assert len(calls) == 1
+    monkeypatch.setattr(reduction, "cover_floor", lambda tree: -1)
+    assert compute_residual(tree).total_cost == total
+    assert len(calls) == 1 + 6
 
 
 def test_pipeline_depth_guard_raises():

@@ -154,9 +154,29 @@ def test_recipe_budget_raises(monkeypatch):
 
 
 def test_reduction_depth_guard_raises():
-    # composition (2, 2, 2, 3) always tries its reduce case, one level deeper
+    # no case of composition (2, 2, 2, 3) reaches this tree's leaf bound (6;
+    # the optimum is 7), so the lookup tries its reduce case, one level deeper
     with pytest.raises(BudgetExceeded):
         optimal_cover_of_residual(fig.L2223_R_V, _depth=1)
+
+
+def test_lookup_stops_at_leaf_bound(monkeypatch):
+    # case S binds at the leaf bound, parity term included, so the reduce
+    # case >> after it is not run (a walk without the stop runs it once)
+    tree = fig.FLOOR_1130
+    calls = []
+    inner = residual._reduce_and_recurse
+
+    def counting(tree, cs, depth):
+        calls.append(cs.label)
+        return inner(tree, cs, depth)
+
+    monkeypatch.setattr(residual, "_reduce_and_recurse", counting)
+    cover, labels = optimal_cover_of_residual(tree)
+    cover.validate(tree)
+    assert labels == ["(1, 1, 3, 0) S"] and calls == []
+    assert cover.total_cost == cover_floor(tree) == 5
+    assert cover.total_cost == brute_force_tau(tree, OracleBudget(max_tree_nodes=40))
 
 
 def test_recipe_costs_follow_the_class_tags():

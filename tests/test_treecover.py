@@ -8,7 +8,8 @@ from conftest import bt
 import trees as fig
 
 from invindel.errors import OddLeafCount, PreconditionViolated, ShortPathOnGoodNode
-from invindel.oracle import brute_force_tau, random_tagged_tree
+from invindel.oracle import OracleBudget, brute_force_tau, random_residual_tree, random_tagged_tree
+from invindel.residual import TABLE
 from invindel.treecover import (
     Cover,
     CoverPath,
@@ -286,5 +287,24 @@ def test_cover_floor_is_a_lower_bound():
         leaves = tree.leaves()
         if frozenset.intersection(*(tree.tags(u) for u in leaves)):
             assert floor == (len(leaves) + 1) // 2
-    # tight on 530 of these 600 trees: the bound usually ends the solo search
-    assert tight > 300
+    # tight on 579 of these 600 trees: the bound usually ends the solo search
+    assert tight == 579
+
+
+def test_cover_floor_parity_term_is_sound_and_tight():
+    # every table composition with odd A and B classes and no AB leaf: no
+    # cover beats lc + ceil((la + lb) / 2) + 1, and some tree of each costs it
+    rng = random.Random(0)
+    budget = OracleBudget(max_tree_nodes=40)
+    parity = [c for c in sorted(TABLE) if c[0] % 2 == c[1] % 2 == 1 and c[3] == 0]
+    assert parity == [(1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 2, 0), (1, 1, 3, 0)]
+    for comp in parity:
+        la, lb, lc, _ = comp
+        tight = 0
+        for _ in range(50):
+            tree = random_residual_tree(comp, rng)
+            tau, floor = brute_force_tau(tree, budget), cover_floor(tree)
+            assert floor == lc + (la + lb) // 2 + 1
+            assert tau >= floor, comp
+            tight += tau == floor
+        assert tight, comp
