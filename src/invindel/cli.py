@@ -28,6 +28,7 @@ from .oracle import (
     OracleBudget,
     anchor_invariance_check,
     brute_force_distance,
+    brute_force_linear_distance,
     brute_force_tau,
     random_genome_pair,
     random_residual_tree,
@@ -52,6 +53,12 @@ class PipelineRun:
 
 @dataclass
 class DistanceReport:
+    """The distance g - c + Σλ + τ* with its terms and τ*'s witness cover.
+
+    For linear input, ``g_count``, ``cycles``, ``indel_potential_sum`` and
+    the cover's component ids describe the chosen capped circular pair
+    (``capping``), whose cap counts as one more common marker."""
+
     distance: int
     g_count: int
     cycles: int
@@ -102,8 +109,14 @@ def _trivial_report(pair: GenomePair, anchor: str | None) -> DistanceReport:
     )
 
 
-def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceReport:
-    """Distance between the two circular chromosomes of a classified pair."""
+def compute_distance(
+    pair: GenomePair, anchor: str | None = None, *, below: int | None = None
+) -> DistanceReport | None:
+    """Distance between the two circular chromosomes of a classified pair.
+
+    With ``below``, a run that builds a tagged tree stops before τ* and
+    returns None when its lower bound g - c + Σλ + ``cover_floor`` of the
+    validated tree is at least ``below``: its distance cannot be smaller."""
     if pair.a.shape == LINEAR:
         raise InvindelError(
             "compute_distance takes circular chromosomes; "
@@ -114,9 +127,17 @@ def compute_distance(pair: GenomePair, anchor: str | None = None) -> DistanceRep
             check_anchor(anchor, pair.common)
         return _trivial_report(pair, anchor)
     diagram, _, chained, tagged = tagged_tree_for_pair(pair, anchor)
-    tau, cover, res, trace = tau_star(tagged)
     lam = diagram.indel_potential_sum()
-    distance = diagram.g_count - diagram.c + lam + tau
+    dcj_indel = diagram.g_count - diagram.c + lam
+    if below is not None:
+        floor = 0
+        if not tagged.is_empty:
+            tagged.validate()
+            floor = cover_floor(tagged)
+        if dcj_indel + floor >= below:
+            return None
+    tau, cover, res, trace = tau_star(tagged)
+    distance = dcj_indel + tau
 
     def comps_of(node: int) -> list[int]:
         return sorted(tagged.nodes[node].src)
@@ -162,7 +183,11 @@ def distance_report(
     """Distance between two chromosomes, handling the trivial regime and
     linear capping.  An ``anchor`` must be a marker common to ``a`` and
     ``b`` in every regime.  A linear pair's report names the ``anchor``
-    given, or none: its circles are cut inside the capped pair."""
+    given, or none: its circles are cut inside the capped pair.
+
+    The flipped capping is kept only when strictly smaller than the
+    as-read one, so it runs τ* only while its lower bound is below the
+    as-read distance."""
     pair = GenomePair(a, b)
     if anchor is not None:
         check_anchor(anchor, pair.common)
@@ -170,12 +195,13 @@ def distance_report(
         return _trivial_report(pair, anchor)
     if a.shape == CIRCULAR:
         return compute_distance(pair, anchor)
-    best = None
-    for i, capped in enumerate(cap_linear_pair(pair)):
-        rep = compute_distance(capped, anchor)
-        rep.capping = "as-read" if i == 0 else "flipped"
-        if best is None or rep.distance < best.distance:
-            best = rep
+    as_read, flipped = cap_linear_pair(pair)
+    best = compute_distance(as_read, anchor)
+    best.capping = "as-read"
+    rep = compute_distance(flipped, anchor, below=best.distance)
+    if rep is not None and rep.distance < best.distance:
+        best = rep
+        best.capping = "flipped"
     best.anchor = anchor
     return best
 
@@ -234,11 +260,14 @@ def _emit_traces(args, rep: DistanceReport) -> None:
         print(f"  total: {rep.tau_star}")
 
 
+def _linear(ch: Chromosome) -> Chromosome:
+    return Chromosome.from_columns(ch.order, ch.forward, LINEAR)
+
+
 def _cmd_dist(args) -> int:
     a, b = read_pair_file(args.file)
     if args.linear:
-        a = Chromosome.from_columns(a.order, a.forward, LINEAR)
-        b = Chromosome.from_columns(b.order, b.forward, LINEAR)
+        a, b = _linear(a), _linear(b)
     rep = distance_report(a, b, args.anchor)
     if args.trace:
         if rep.run is None:
@@ -250,14 +279,13 @@ def _cmd_dist(args) -> int:
     if args.oracle:
         pair = GenomePair(a, b)
         budget = OracleBudget(max_common=5, max_exclusive=3)
-        if a.shape != CIRCULAR:
-            print("oracle: skipped (linear input)", file=sys.stderr)
-        elif (
+        search = brute_force_distance if a.shape == CIRCULAR else brute_force_linear_distance
+        if (
             len(pair.common) <= budget.max_common
             and len(pair.a_only) + len(pair.b_only) <= budget.max_exclusive
         ):
             try:
-                exact = brute_force_distance(pair, budget)
+                exact = search(pair, budget)
             except BudgetExceeded:
                 print("oracle: skipped (state budget exhausted)", file=sys.stderr)
             else:
@@ -335,6 +363,15 @@ def _cmd_verify(args) -> int:
         ok += len(set(anchor_invariance_check(pair).values())) == 1
     print(f"anchor invariance: {ok}/{anchor_trials} agree")
     failures += anchor_trials - ok
+
+    # kept last: a section drawn earlier would change every later section's pairs
+    ok = 0
+    for _ in range(dist_trials):
+        pair = random_genome_pair(rng, rng.randint(2, 4), rng.randint(0, 1), rng.randint(0, 1))
+        a, b = _linear(pair.a), _linear(pair.b)
+        ok += brute_force_linear_distance(GenomePair(a, b)) == distance_report(a, b).distance
+    print(f"linear distances: {ok}/{dist_trials} agree")
+    failures += dist_trials - ok
 
     print("verify:", "PASS" if failures == 0 else f"FAIL ({failures})")
     return 0 if failures == 0 else 1

@@ -370,3 +370,89 @@ def test_distance_invariant_under_relabeling():
 
         mapped = GenomePair(rn(pair.a), rn(pair.b))
         assert compute_distance(pair).distance == compute_distance(mapped).distance
+
+
+def _tau_star_calls(monkeypatch) -> list:
+    """Record every call to ``cli.tau_star`` made from now on."""
+    calls = []
+    inner = cli.tau_star
+
+    def counted(tree):
+        calls.append(tree)
+        return inner(tree)
+
+    monkeypatch.setattr(cli, "tau_star", counted)
+    return calls
+
+
+def _unpruned_report(a, b):
+    """Both cappings run in full, the flipped one kept only when strictly
+    smaller: the report that pruning the flipped capping must not change."""
+    from invindel.genome import cap_linear_pair
+
+    best = None
+    for capping, capped in zip(("as-read", "flipped"), cap_linear_pair(GenomePair(a, b))):
+        rep = compute_distance(capped)
+        rep.capping = capping
+        if best is None or rep.distance < best.distance:
+            best = rep
+    best.anchor = None
+    return best
+
+
+def test_pruned_flipped_capping_gives_the_unpruned_report(monkeypatch):
+    # the flipped capping runs tau* only while g - c + sum(lambda) plus the
+    # floor of its tagged tree is below the as-read distance; every report
+    # must be the one both full runs give
+    import random
+
+    from invindel.components import tagged_tree_for_pair
+    from invindel.genome import Chromosome, cap_linear_pair
+    from invindel.oracle import random_genome_pair, structured_genome_pair
+
+    rng = random.Random(19)
+    pairs = []
+    for _ in range(240):
+        g = rng.randint(2, 60)
+        pairs.append(random_genome_pair(rng, g, rng.randint(0, g // 10), rng.randint(0, g // 10)))
+    pairs += [structured_genome_pair(rng, rng.randint(1, 8)) for _ in range(80)]
+    calls = _tau_star_calls(monkeypatch)
+    outcomes = set()
+    for pair in pairs:
+        a, b = Chromosome(pair.a.markers, LINEAR), Chromosome(pair.b.markers, LINEAR)
+        calls.clear()
+        got = distance_report(a, b).to_dict()
+        runs = len(calls)
+        assert got == _unpruned_report(a, b).to_dict()
+        if runs == 1:
+            flipped = cap_linear_pair(GenomePair(a, b))[1]
+            empty = tagged_tree_for_pair(flipped)[3].is_empty
+            outcomes.add("pruned, empty tree" if empty else "pruned at the floor")
+        elif got["capping"] == "flipped":
+            outcomes.add("flipped wins")
+    assert outcomes == {"pruned, empty tree", "pruned at the floor", "flipped wins"}
+
+
+@pytest.mark.parametrize(
+    "a_text, b_text, capping, tau_star_calls",
+    [
+        ("a b c", "b a c", "as-read", 1),  # flipped: empty tree, bound 3
+        ("a b c", "-a -b -c", "as-read", 1),  # flipped: 2 + floor 1 of one node
+        ("a b c d", "-d -b -c -a", "flipped", 2),  # flipped bound 3, gives 3 < 4
+    ],
+)
+def test_flipped_capping_runs_tau_star_only_when_it_can_win(
+    a_text, b_text, capping, tau_star_calls, monkeypatch
+):
+    calls = _tau_star_calls(monkeypatch)
+    rep = distance_report(parse_chromosome(a_text, LINEAR), parse_chromosome(b_text, LINEAR))
+    assert (rep.distance, rep.capping, len(calls)) == (3, capping, tau_star_calls)
+
+
+def test_cli_oracle_checks_linear_input(tmp_path, capsys):
+    path = tmp_path / "lin.txt"
+    path.write_text(">linear\na b c\nb c a\n")
+    assert main(["dist", str(path), "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "oracle: agree\n"
+    assert "distance: 2\n" in captured.out
