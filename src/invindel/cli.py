@@ -278,7 +278,7 @@ def _cmd_dist(args) -> int:
             _emit_traces(args, rep)
     if args.oracle:
         pair = GenomePair(a, b)
-        budget = OracleBudget(max_common=5, max_exclusive=3)
+        budget = OracleBudget(max_common=5, max_exclusive=3, max_states=50_000)
         search = brute_force_distance if a.shape == CIRCULAR else brute_force_linear_distance
         if (
             len(pair.common) <= budget.max_common

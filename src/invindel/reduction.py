@@ -1,9 +1,10 @@
 """Safe reduction of tagged trees to residual trees.
 
-Tagged leaf classes shrink to at most two leaves through balanced
-in-traversals (and to one through an essential-leaf choice when three
-remain); the clean class is reduced while testing which clean short-branch
-leaf, if any, should survive as the solo leaf.  The test stops at the first
+Each leaf class shrinks, in the order A, B, AB, C, to the most leaves the
+residual tables take (`kept_count`), through balanced in-traversals and,
+when one leaf is to stay, an essential-leaf choice among the last three;
+the clean class is reduced while testing which clean short-branch leaf,
+if any, should survive as the solo leaf.  The test stops at the first
 hypothesis whose total reaches the input tree's leaf bound
 (`treecover.cover_floor`), which no cover can beat; the residual lookup
 stops its case walk at the residual tree's bound the same way.  Every spent
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from .components import TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, DegenerateTree, PreconditionViolated, UnknownComposition
-from .residual import optimal_cover_of_residual
+from .residual import optimal_cover_of_residual, table_takes
 from .treecover import (
     Cover,
     CoverPath,
@@ -76,30 +77,23 @@ class ResidualResult:
 def _balanced_pair_plan(
     tree: TaggedTree,
     leaves: list[int],
-    can_reduce_to_2: bool,
+    keep: int,
     solo: int | None = None,
 ) -> list[tuple[int, int]]:
-    """Which circular-pairing in-traversals to spend on one leaf class.
+    """Which circular-pairing in-traversals to spend on one leaf class so
+    that ``keep`` of its leaves (of the class's parity) remain.
 
     With an odd class one leaf (the solo candidate when given) is excluded
-    before pairing; afterwards one traversal is dropped for an even class
-    (the one covering the solo candidate, when given) and one more when the
-    class may not shrink to two.
+    before pairing; afterwards the first traversals are dropped, the one
+    covering the solo candidate, when given, ahead of the others.
     """
     members = sorted(leaves)
-    odd = len(members) % 2 == 1
-    if odd:
-        excluded = solo if solo is not None else members[0]
-        members.remove(excluded)
+    if len(members) % 2 == 1:
+        members.remove(solo if solo is not None else members[0])
+        keep -= 1
     pairs = cover_tree_with_traversals(tree, leaves=members)
-    if not odd and pairs:
-        if solo is not None:
-            drop = next(i for i, p in enumerate(pairs) if solo in p)
-        else:
-            drop = 0
-        pairs.pop(drop)
-    if (odd or not can_reduce_to_2) and pairs:
-        pairs.pop(0)
+    pairs.sort(key=lambda p: solo not in p)
+    del pairs[: keep // 2]
     return pairs
 
 
@@ -192,42 +186,47 @@ class _Reducer:
         self.apply_pairs([(u, v)], "three_to_one", cls)
 
 
-def _reduce_tagged_class(r: _Reducer, cls: str) -> None:
+_SHRINK_ORDER = ("A", "B", "AB", "C")
+_SLOT = {"A": 0, "B": 1, "C": 2, "AB": 3}  # place in a composition
+
+
+def _fewest(n: int) -> int:
+    """The fewest leaves a class of ``n`` can shrink to: 1 or 2 by parity."""
+    return n if n <= 2 else 2 - n % 2
+
+
+def kept_count(composition: tuple[int, int, int, int], cls: str) -> int:
+    """How many leaves the class ``cls`` keeps when it is shrunk.
+
+    The largest count of its parity, at most 4 and at most what it holds,
+    for which the residual tables take the composition with every class
+    shrunk after this one at its fewest leaves; its fewest if there is none.
+    """
+    counts = list(composition)
+    for later in _SHRINK_ORDER[_SHRINK_ORDER.index(cls) + 1 :]:
+        counts[_SLOT[later]] = _fewest(counts[_SLOT[later]])
+    n = composition[_SLOT[cls]]
+    for k in range(min(n, 4 - n % 2), _fewest(n), -2):
+        counts[_SLOT[cls]] = k
+        if table_takes(*counts):
+            return k
+    return _fewest(n)
+
+
+def _shrink(r: _Reducer, cls: str, solo: int | None = None) -> None:
+    """Shrink one leaf class to its kept count: balanced in-traversals down
+    to that count (to three when one leaf is to stay), then the three-to-one
+    step, which keeps ``solo`` when given."""
     leaves = r.class_leaves(cls)
-    if len(leaves) >= 4:
-        pairs = _balanced_pair_plan(r.work, leaves, True)
-        r.apply_pairs(pairs, "balanced_in_traversal", cls)
-        leaves = r.class_leaves(cls)
-    if len(leaves) == 3:
-        r.three_to_one(cls)
-
-
-def _reduce_ab_class(r: _Reducer) -> None:
-    """The AB gates, read with A the larger of the two tagged classes."""
-    la, lb, lc, lab = r.work.composition()
-    if lab < 3:
-        return
-    la, lb = max(la, lb), min(la, lb)
-    if lc % 2 == 1:
-        lcr = 1
-    elif lc > 0:
-        lcr = 2
-    else:
-        lcr = 0
-    can2 = lab % 2 == 0 and (
-        lb == 0 or (lcr == 0 and la + lb < 4) or (lcr > 0 and la + lb + lcr < 5)
-    )
-    if lab >= 5 or can2:
-        pairs = _balanced_pair_plan(r.work, r.class_leaves("AB"), can2)
-        r.apply_pairs(pairs, "balanced_in_traversal", "AB")
-    la, lb, _, lab = r.work.composition()
-    la, lb = max(la, lb), min(la, lb)
-    if lab == 3 and (
-        (lb == 0 and la + lcr < 4)
-        or (lcr == 0 and la + lb < 3)
-        or (lb > 0 and lcr > 0 and la + lb + lcr < 4)
-    ):
-        r.three_to_one("AB")
+    n = len(leaves)
+    keep = kept_count(r.work.composition(), cls)
+    target = 3 if keep == 1 else keep
+    if n > target:
+        pairs = _balanced_pair_plan(r.work, leaves, target, solo)
+        kind = "solo_safe_clean" if cls == "C" else "balanced_in_traversal"
+        r.apply_pairs(pairs, kind, cls)
+    if keep == 1 and n > 1:
+        r.three_to_one(cls, solo)
 
 
 def _result_for(branch: _Reducer, depth: int) -> ResidualResult:
@@ -250,18 +249,12 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
     reaches it, the one a full scan would keep too.  When no hypothesis
     reaches it, every one is tried.
     """
-    la, lb, lc, lab = r.work.composition()
-    can1 = lc % 2 == 1 and lc >= 3 and not (la == 1 and lb == 1 and lab == 0)
     hypotheses: list[int | None] = [None]
     hypotheses += solo_candidates(r.work)
     best: ResidualResult | None = None
     for s in hypotheses:
         branch = r.fork()
-        if lc >= 4:
-            pairs = _balanced_pair_plan(branch.work, branch.class_leaves("C"), True, solo=s)
-            branch.apply_pairs(pairs, "solo_safe_clean", "C")
-        if can1:
-            branch.three_to_one("C", s)
+        _shrink(branch, "C", s)
         result = _result_for(branch, depth)
         if best is None or result.total_cost < best.total_cost:
             best = result
@@ -273,23 +266,23 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
 def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
     if depth <= 0:
         raise BudgetExceeded("reduction pipeline failed to converge")
-    _reduce_tagged_class(r, "A")
-    _reduce_tagged_class(r, "B")
-    _reduce_ab_class(r)
+    for cls in _SHRINK_ORDER[:-1]:
+        _shrink(r, cls)
     return _clean_phase(r, depth)
 
 
 def compute_residual(tree: TaggedTree) -> ResidualResult:
     """Reduce a mixed tagged tree to a residual tree and look up its cover.
 
-    Order: shrink the A class, then B, apply the AB gates, then run the
-    clean reduction with the solo search, which stops at the input tree's
-    leaf bound.  When a three-to-one reduction exposes a new leaf that
-    leaves the residual composition outside the tables, the phases run
-    again on the smaller tree under the same bound.  The returned cover and
-    steps are expressed in the input tree and certify the total cost.  A
-    tree whose leaves all share a tag or are all clean raises
-    DegenerateTree, naming its closed form.
+    Order: shrink the A class, then B, then AB, each to the leaves the
+    residual tables take (`kept_count`), then shrink the clean class under
+    the solo search, which stops at the input tree's leaf bound.  When a
+    three-to-one reduction exposes a new leaf that leaves the residual
+    composition outside the tables, the phases run again on the smaller
+    tree under the same bound.  The returned cover and steps are expressed
+    in the input tree and certify the total cost.  A tree whose leaves all
+    share a tag or are all clean raises DegenerateTree, naming its closed
+    form.
     """
     if tree.is_empty or not tree.bad_nodes():
         raise DegenerateTree("nothing to reduce")

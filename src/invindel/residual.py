@@ -470,6 +470,11 @@ def known_compositions() -> list[tuple[int, int, int, int]]:
     return sorted(TABLE)
 
 
+def table_takes(la: int, lb: int, lc: int, lab: int) -> bool:
+    """Whether the tables cover the composition, read with A and B either way."""
+    return (la, lb, lc, lab) in TABLE or (lb, la, lc, lab) in TABLE
+
+
 def normalize_ab_swap(tree: TaggedTree) -> TaggedTree:
     """Swap A and B tags when the B class has more leaves."""
     la, lb, _, _ = tree.composition()
@@ -480,7 +485,7 @@ def normalize_ab_swap(tree: TaggedTree) -> TaggedTree:
 # Recipe instantiation
 
 
-def _spec_options(tree: TaggedTree, topo: Topology, spec: PathSpec, used: set[int]):
+def _spec_options(topo: Topology, spec: PathSpec, used: set[int]):
     if spec.kind in ("in", "out", "tcov"):
         firsts = [u for u in topo.classes[spec.c1] if u not in used]
         if spec.kind == "in":
@@ -517,7 +522,7 @@ def _spec_options(tree: TaggedTree, topo: Topology, spec: PathSpec, used: set[in
         raise PreconditionViolated(f"unknown path spec {spec.kind}")
 
 
-def _instantiate(tree: TaggedTree, topo: Topology, cs: Case) -> Cover | None:
+def _instantiate(topo: Topology, cs: Case) -> Cover | None:
     """Bind a recipe to concrete nodes, backtracking until the resulting
     cover validates at the declared cost; None when no binding works.
     Raises BudgetExceeded after INSTANTIATE_BUDGET steps."""
@@ -531,12 +536,12 @@ def _instantiate(tree: TaggedTree, topo: Topology, cs: Case) -> Cover | None:
         if i == len(recipe):
             cover = Cover(list(paths))
             try:
-                cover.validate(tree)
+                cover.validate(topo.tree)
             except PreconditionViolated:
                 return None
             return cover
         spec = recipe[i]
-        for u, v, consumed in _spec_options(tree, topo, spec, used):
+        for u, v, consumed in _spec_options(topo, spec, used):
             paths.append(CoverPath(u, v, spec.cost))
             used.update(consumed)
             got = backtrack(i + 1, used, paths)
@@ -611,7 +616,7 @@ def optimal_cover_of_residual(
         else:
             if best is not None and cs.cost >= best[0].total_cost:
                 continue
-            cover = _instantiate(work, topo, cs)
+            cover = _instantiate(topo, cs)
             if cover is None:
                 continue
             labels = [f"{comp} {cs.label}"]

@@ -57,7 +57,7 @@ def test_criterion_2_residual_table_fidelity():
     budget = OracleBudget(max_tree_nodes=40)
     t0 = time.time()
     # each tree goes through the lookup alone and through tau* (the
-    # reducer's gates first); both must reach the optimum, and the leaf
+    # reducer's kept counts first); both must reach the optimum, and the leaf
     # bound that stops both searches must not exceed it
     mismatches = tau_mismatches = above_optimum = 0
     fired: set[str] = set()

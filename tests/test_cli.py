@@ -456,3 +456,22 @@ def test_cli_oracle_checks_linear_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "oracle: agree\n"
     assert "distance: 2\n" in captured.out
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        # 5 common and 3 exclusive markers: admitted, but the search passes
+        # the command's state cap in either shape
+        pytest.param(
+            ">linear\na -c x e b d y\n-d b z -e a c\n", "state budget exhausted", id="linear"
+        ),
+        pytest.param("a -c x e b d y\n-d b z -e a c\n", "state budget exhausted", id="circular"),
+        pytest.param("a b c d e f\nb a c d e f\n", "instance above budget", id="six-common"),
+    ],
+)
+def test_cli_oracle_skips_with_the_reason(tmp_path, capsys, text, reason):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["dist", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().err == f"oracle: skipped ({reason})\n"

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -19,16 +20,17 @@ from invindel.reduction import (
     _run_pipeline,
     compute_residual,
     essential_leaf,
+    kept_count,
 )
 from invindel.residual import optimal_cover_of_residual
 from invindel.treecover import analyze_topology, cover_floor
 
 
-def balanced_reduce(tree, leaf_class, can_reduce_to_2, solo=None):
-    """Spend the planned balanced in-traversals on one leaf class; returns
-    the reduced tree and the class leaves that survive."""
+def balanced_reduce(tree, leaf_class, keep, solo=None):
+    """Spend the planned balanced in-traversals that leave ``keep`` leaves of
+    one class; returns the reduced tree and the class leaves that survive."""
     leaves = tree.leaf_classes()[leaf_class]
-    reduced = reduce_by_paths(tree, _balanced_pair_plan(tree, leaves, can_reduce_to_2, solo))
+    reduced = reduce_by_paths(tree, _balanced_pair_plan(tree, leaves, keep, solo))
     return reduced, [u for u in reduced.leaves() if u in leaves]
 
 
@@ -88,7 +90,7 @@ def test_balanced_reduction_counts():
         {0: "g", 1: "bA", 2: "bA", 3: "bA", 4: "bA", 5: "b", 6: "bB"},
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)],
     )
-    reduced, remaining = balanced_reduce(tree, "A", True)
+    reduced, remaining = balanced_reduce(tree, "A", 2)
     assert len(remaining) == 2
     assert reduced.composition()[0] == 2
     # the pipeline shrinks the four A-leaves the same way and leaves the
@@ -113,7 +115,7 @@ def test_balanced_reduction_preserving():
         ],
     )
     before = analyze_topology(tree)
-    reduced, remaining = balanced_reduce(tree, "A", True)
+    reduced, remaining = balanced_reduce(tree, "A", 2)
     after = analyze_topology(reduced)
     assert len(remaining) == 2
     assert after.composition == (2, 2, 1, 0)
@@ -130,7 +132,7 @@ def test_balanced_reduction_respects_solo():
         },
         [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 7)],
     )
-    reduced, remaining = balanced_reduce(tree, "C", True, solo=2)
+    reduced, remaining = balanced_reduce(tree, "C", 2, solo=2)
     assert 2 in remaining and len(remaining) == 2
 
 
@@ -317,12 +319,77 @@ def test_clean_class_of_six_with_solo():
     assert res.total_cost == brute_force_tau(tree, wide) == 8
 
 
-def test_ab_gate_keeps_three_ab_leaves_for_the_lookup():
-    tree = fig.AB_GATE_2023
-    assert tree.composition() == (2, 0, 2, 3)
-    res = compute_residual(tree)
-    assert res.residual.composition() == (2, 0, 2, 3)
-    assert tau_star(tree)[0] == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == 5
+def _gates_replaced(la, lb, lc, lab):
+    """Reference for the keep rule: the hand-written gates that
+    `kept_count` replaced, run on a composition.  A and B shrink to two
+    leaves or one by parity; the AB gates read the larger tagged class as
+    A; the clean gate keeps three clean leaves only at (1, 1, ., 0)."""
+    la, lb = (n if n <= 2 else 2 - n % 2 for n in (la, lb))
+    if lab >= 3:
+        a, b = max(la, lb), min(la, lb)
+        if lc % 2 == 1:
+            lcr = 1
+        elif lc > 0:
+            lcr = 2
+        else:
+            lcr = 0
+        can2 = lab % 2 == 0 and (
+            b == 0 or (lcr == 0 and a + b < 4) or (lcr > 0 and a + b + lcr < 5)
+        )
+        if lab >= 5 or can2:
+            lab = 3 if lab % 2 == 1 else 2 if can2 else 4
+        if lab == 3 and (
+            (b == 0 and a + lcr < 4)
+            or (lcr == 0 and a + b < 3)
+            or (b > 0 and lcr > 0 and a + b + lcr < 4)
+        ):
+            lab = 1
+    can1 = lc % 2 == 1 and lc >= 3 and not (la == 1 and lb == 1 and lab == 0)
+    if lc >= 4:
+        lc = 3 if lc % 2 == 1 else 2
+    if can1:
+        lc = 1
+    return la, lb, lc, lab
+
+
+def test_keep_rule_matches_the_gates_it_replaced():
+    # every mixed composition: some leaf tagged, and no tag on every leaf
+    mixed = [
+        (la, lb, lc, lab)
+        for la, lb, lc, lab in itertools.product(range(9), range(9), range(10), range(11))
+        if la + lb + lab and (lb or lc) and (la or lc)
+    ]
+    assert len(mixed) == 8714
+    for comp in mixed:
+        counts = list(comp)
+        for slot, cls in ((0, "A"), (1, "B"), (3, "AB"), (2, "C")):
+            counts[slot] = kept_count(tuple(counts), cls)
+        assert tuple(counts) == _gates_replaced(*comp), comp
+        la, lb, lc, lab = counts
+        assert (max(la, lb), min(la, lb), lc, lab) in residual.TABLE, comp
+
+
+@pytest.mark.parametrize(
+    "tree, cls, kept, optimum",
+    [
+        pytest.param(fig.AB_GATE_2023, "AB", 3, 5, id="AB_GATE_2023"),
+        pytest.param(fig.KEEP_AB4_2204, "AB", 4, 4, id="KEEP_AB4_2204"),
+        pytest.param(fig.KEEP_C3_1130, "C", 3, 5, id="KEEP_C3_1130"),
+    ],
+)
+def test_kept_count_is_needed(monkeypatch, tree, cls, kept, optimum):
+    # the reducer keeps the count the table takes, the pinned tree needs it,
+    # and shrinking every class to its fewest leaves costs one more
+    assert len(tree.leaf_classes()[cls]) == kept
+    assert compute_residual(tree).residual.composition() == tree.composition()
+    assert tau_star(tree)[0] == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == optimum
+
+    def fewest(comp, c):
+        return reduction._fewest(comp[reduction._SLOT[c]])
+
+    monkeypatch.setattr(reduction, "kept_count", fewest)
+    assert len(compute_residual(tree).residual.leaf_classes()[cls]) < kept
+    assert tau_star(tree)[0] == optimum + 1
 
 
 def _mixed(tree):
