@@ -12,12 +12,6 @@ from .genome import (
     parse_chromosome,
     read_pair_file,
 )
-from .oracle import (
-    OracleBudget,
-    brute_force_distance,
-    brute_force_linear_distance,
-    brute_force_tau,
-)
 from .reduction import ResidualResult, compute_residual
 from .residual import optimal_cover_of_residual
 from .treecover import Cover, CoverPath, analyze_topology, tau_all_clean, tau_shared_tag
@@ -56,3 +50,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The oracle is for checks, not distances: it loads on first use.
+_ORACLE_NAMES = frozenset(
+    {"OracleBudget", "brute_force_distance", "brute_force_linear_distance", "brute_force_tau"}
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORACLE_NAMES)

@@ -726,57 +726,3 @@ def tagged_tree_for_pair(pair: GenomePair, anchor: str | None = None):
     tagged = flower_contract(chained)
     return diagram, comps, chained, tagged
 
-
-def format_chained_tree(tree: ChainedTree) -> str:
-    lines = []
-    children: dict[int, list[int]] = {}
-    for ci, parent in enumerate(tree.chain_parent):
-        if parent is not None:
-            children.setdefault(parent, []).append(ci)
-
-    def emit_chain(ci: int, depth: int) -> None:
-        lines.append("  " * depth + f"chain[{ci}]")
-        for comp_id in tree.chains[ci]:
-            comp = tree.components[comp_id]
-            tags = "".join(sorted(comp.tags)) or "-"
-            lines.append(
-                "  " * (depth + 1)
-                + f"comp {comp.id} ({comp.kind}, tags {tags}, cycles {list(comp.cycles)})"
-            )
-            for sub in children.get(comp_id, []):
-                emit_chain(sub, depth + 2)
-
-    emit_chain(tree.root_chain, 0)
-    return "\n".join(lines)
-
-
-def format_tagged_tree(tree: TaggedTree) -> str:
-    if tree.is_empty:
-        return "(empty tree)"
-    lines = []
-    for u in tree.node_ids():
-        n = tree.nodes[u]
-        tags = "".join(sorted(n.tags)) or "-"
-        kind = "bad" if n.bad else "good"
-        lines.append(
-            f"node {u}: {kind}, tags {tags}, neighbors {list(tree.adj[u])}, "
-            f"components {sorted(n.src)}"
-        )
-    return "\n".join(lines)
-
-
-def format_tagged_tree_dot(tree: TaggedTree) -> str:
-    lines = ["graph tagged_tree {"]
-    for u in tree.node_ids():
-        n = tree.nodes[u]
-        tags = "".join(sorted(n.tags)) or ""
-        shape = "circle" if n.bad else "doublecircle"
-        lines.append(f'  n{u} [label="{u}:{tags}" shape={shape}];')
-    seen = set()
-    for u in tree.node_ids():
-        for v in tree.adj[u]:
-            if (v, u) not in seen:
-                seen.add((u, v))
-                lines.append(f"  n{u} -- n{v};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -233,17 +233,3 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
     last = list(dict(zip(owner, range(g))).values())
     return RelationalDiagram(pair, anchor, g, owner, first, last, goods, runs, tags)
 
-
-def format_cycle_table(diagram: RelationalDiagram) -> str:
-    """Textual cycle listing for traces."""
-    lines = [f"anchor: {diagram.anchor}  cycles: {diagram.c}  common: {diagram.g_count}"]
-    for cyc in diagram.cycles:
-        kind, sortedness, profile = classify_cycle(cyc)
-        runs = cyc.runs
-        lam = indel_potential(runs)
-        lines.append(
-            f"  cycle {cyc.id}: length {4 * len(cyc.a_positions)}, a-edges "
-            f"{list(cyc.a_positions)}, runs {runs}, potential {lam}, "
-            f"{kind}, {sortedness}, profile {profile}"
-        )
-    return "\n".join(lines)

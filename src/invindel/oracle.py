@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
 
+from .cli import compute_distance
 from .components import TaggedTree, contract
 from .errors import BudgetExceeded, NotLinear
 from .genome import (
@@ -261,8 +262,6 @@ def brute_force_linear_distance(
 
 def anchor_invariance_check(pair: GenomePair) -> dict[str, int]:
     """Pipeline distance for every anchor choice; all values should agree."""
-    from .cli import compute_distance
-
     return {g: compute_distance(pair, anchor=g).distance for g in sorted(pair.common)}
 
 

@@ -240,6 +240,13 @@ def _result_for(branch: _Reducer, depth: int) -> ResidualResult:
     return ResidualResult(branch.work, branch.steps, lifted, labels)
 
 
+def _solo_hypotheses(tree: TaggedTree):
+    """No solo leaf, then each solo candidate of ``tree``; the candidates
+    are looked for only once the first hypothesis has been tried."""
+    yield None
+    yield from solo_candidates(tree)
+
+
 def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
     """Reduce the clean class under each solo-leaf hypothesis in turn and
     keep the first whose total certified cost is cheapest.
@@ -249,10 +256,8 @@ def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
     reaches it, the one a full scan would keep too.  When no hypothesis
     reaches it, every one is tried.
     """
-    hypotheses: list[int | None] = [None]
-    hypotheses += solo_candidates(r.work)
     best: ResidualResult | None = None
-    for s in hypotheses:
+    for s in _solo_hypotheses(r.work):
         branch = r.fork()
         _shrink(branch, "C", s)
         result = _result_for(branch, depth)

@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import bt
 
-from invindel import cli
-from invindel.cli import build_parser, compute_distance, distance_report, main, tau_star
+from invindel import cli, commands
+from invindel.cli import compute_distance, distance_report, main, tau_star
+from invindel.commands import build_parser
 from invindel.errors import AnchorNotCommon, InvindelError
 from invindel.genome import LINEAR, GenomePair, classify_markers, parse_chromosome
 
@@ -117,6 +122,42 @@ def test_cli_dist_json_roundtrip(genome_file, capsys):
     )
     # witness paths carry component ids and costs summing to tau_star
     assert sum(p["cost"] for p in data["cover"]) == data["tau_star"]
+
+
+# Run in a fresh interpreter: modules loaded by the interpreter's own start-up
+# are not charged to the distance.
+COLD_START = """\
+import sys
+before = set(sys.modules)
+from invindel.cli import distance_report
+from invindel.genome import read_pair_text
+assert distance_report(*read_pair_text("a -c b d\\nd c -b a\\n")).distance == 2
+print(sorted((set(sys.modules) - before) & set(sys.argv[1:])))
+import invindel
+assert invindel.brute_force_tau is sys.modules["invindel.oracle"].brute_force_tau
+names = {}
+exec("from invindel import *", names)
+assert set(invindel.__all__) <= set(names) and set(invindel.__all__) <= set(dir(invindel))
+print("oracle on use")
+"""
+
+
+def test_distance_import_loads_only_the_pipeline(genome_file):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    unwanted = ["argparse", "json", "statistics", "invindel.oracle", "invindel.commands"]
+    cold = subprocess.run(
+        [sys.executable, "-c", COLD_START, *unwanted],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert cold.stdout.splitlines() == ["[]", "oracle on use"]
+
+    out = subprocess.run(
+        [sys.executable, "-m", "invindel", "dist", genome_file, "--json"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    a, b = (parse_chromosome(line) for line in (FIG_A, FIG_B))
+    assert out == json.dumps(distance_report(a, b).to_dict(), sort_keys=True) + "\n"
 
 
 def test_cli_anchor_override(genome_file, capsys):
@@ -311,7 +352,7 @@ def test_cli_verify_smoke(capsys):
 
 
 def test_cli_verify_counts_a_leaf_bound_above_the_optimum(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cover_floor", lambda tree: 99)
+    monkeypatch.setattr(commands, "cover_floor", lambda tree: 99)
     assert main(["verify", "--trials", "12", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "leaf bound: 0/68 hold" in out and "verify: FAIL (68)" in out
