@@ -1,7 +1,14 @@
 """Exact inversion-indel distance between unichromosomal genomes."""
 
 from .cli import DistanceReport, compute_distance, distance_report, tau_star
-from .components import TaggedTree, find_components, flower_contract, tagged_tree_for_pair
+from .components import (
+    Cover,
+    CoverPath,
+    TaggedTree,
+    find_components,
+    flower_contract,
+    tagged_tree_for_pair,
+)
 from .diagram import build_relational_diagram, classify_cycle, indel_potential
 from .genome import (
     Chromosome,
@@ -12,9 +19,6 @@ from .genome import (
     parse_chromosome,
     read_pair_file,
 )
-from .reduction import ResidualResult, compute_residual
-from .residual import optimal_cover_of_residual
-from .treecover import Cover, CoverPath, analyze_topology, tau_all_clean, tau_shared_tag
 
 __all__ = [
     "Chromosome",
@@ -51,19 +55,31 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The oracle is for checks, not distances: it loads on first use.
-_ORACLE_NAMES = frozenset(
-    {"OracleBudget", "brute_force_distance", "brute_force_linear_distance", "brute_force_tau"}
-)
+# Each name's module loads on first use: the oracle is for checks, and the
+# τ* modules are needed only by a tagged tree that is not empty, that is by
+# a pair with bad components.
+_LAZY = {
+    "OracleBudget": "oracle",
+    "brute_force_distance": "oracle",
+    "brute_force_linear_distance": "oracle",
+    "brute_force_tau": "oracle",
+    "ResidualResult": "reduction",
+    "compute_residual": "reduction",
+    "optimal_cover_of_residual": "residual",
+    "analyze_topology": "treecover",
+    "tau_all_clean": "treecover",
+    "tau_shared_tag": "treecover",
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | _LAZY.keys())

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
-from .components import ChainedTree, TaggedTree, tagged_tree_for_pair
+from .components import ChainedTree, Cover, TaggedTree, tagged_tree_for_pair
 from .diagram import RelationalDiagram, check_anchor
 from .errors import InvindelError
 from .genome import CIRCULAR, LINEAR, Chromosome, GenomePair, cap_linear_pair
-from .reduction import ResidualResult, compute_residual
-from .treecover import Cover, closed_form, cover_floor
+
+if TYPE_CHECKING:
+    from .reduction import ResidualResult
 
 
 @dataclass
@@ -54,15 +56,20 @@ class DistanceReport:
 def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[str]]:
     """Minimum cover cost of a contracted tagged tree: the cost of the
     cover it returns, validated against the tree in every regime.  Raises
-    InvindelError on a tree that is not contracted."""
+    InvindelError on a tree that is not contracted.
+
+    An empty tree, the tree of every pair without bad components, costs 0
+    (the 2013 result) and loads none of the τ* modules."""
     if tree.is_empty:
         return 0, Cover(), None, []
+    from . import reduction, treecover
+
     tree.validate()
-    form = closed_form(tree)
+    form = treecover.closed_form(tree)
     if form is not None:
         cover, res, trace = form[0](tree), None, [form[1]]
     else:
-        res = compute_residual(tree)
+        res = reduction.compute_residual(tree)
         cover, trace = res.full_cover(), res.case_trace
     cover.validate(tree)
     return cover.total_cost, cover, res, trace
@@ -106,6 +113,8 @@ def compute_distance(
     if below is not None:
         floor = 0
         if not tagged.is_empty:
+            from .treecover import cover_floor
+
             tagged.validate()
             floor = cover_floor(tagged)
         if dcj_indel + floor >= below:

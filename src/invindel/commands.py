@@ -1,34 +1,21 @@
 """The command line: `dist`, `verify` and `bench`, with trace printing.
 
 Kept apart from `cli`, which holds the distance itself, so that importing
-a distance loads neither the argument parser nor the oracle."""
+a distance loads neither the argument parser nor the oracle.  Each command
+imports what only it uses, so a plain `dist` on a pair without bad
+components loads neither the oracle nor the τ* modules."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
-import statistics
 import sys
-import time
 
 from .cli import DistanceReport, compute_distance, distance_report, tau_star
 from .components import ChainedTree, TaggedTree
 from .diagram import RelationalDiagram, classify_cycle, indel_potential
 from .errors import BudgetExceeded, InvindelError
 from .genome import CIRCULAR, LINEAR, Chromosome, GenomePair, read_pair_file, read_pair_text
-from .oracle import (
-    OracleBudget,
-    anchor_invariance_check,
-    brute_force_distance,
-    brute_force_linear_distance,
-    brute_force_tau,
-    random_genome_pair,
-    random_residual_tree,
-    random_tagged_tree,
-)
-from .residual import known_compositions, optimal_cover_of_residual
-from .treecover import analyze_topology, cover_floor
 
 # ---------------------------------------------------------------------------
 # Trace formatters
@@ -126,6 +113,8 @@ def _emit_traces(args, rep: DistanceReport) -> None:
         print(format_tagged_tree(tagged))
         print(format_tagged_tree_dot(tagged))
     if "topology" in wanted and not tagged.is_empty:
+        from .treecover import analyze_topology
+
         print("== topology ==")
         report = analyze_topology(tagged)
         print(f"composition: {report.composition}")
@@ -175,6 +164,8 @@ def _cmd_dist(args) -> int:
                 print(f"capping: {rep.capping}")
             _emit_traces(args, rep)
     if args.oracle:
+        from .oracle import OracleBudget, brute_force_distance, brute_force_linear_distance
+
         pair = GenomePair(a, b)
         budget = OracleBudget(max_common=5, max_exclusive=3, max_states=50_000)
         search = brute_force_distance if a.shape == CIRCULAR else brute_force_linear_distance
@@ -207,6 +198,21 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import random
+
+    from .oracle import (
+        OracleBudget,
+        anchor_invariance_check,
+        brute_force_distance,
+        brute_force_linear_distance,
+        brute_force_tau,
+        random_genome_pair,
+        random_residual_tree,
+        random_tagged_tree,
+    )
+    from .residual import known_compositions, optimal_cover_of_residual
+    from .treecover import cover_floor
+
     rng = random.Random(args.seed)
     failures = 0
 
@@ -276,6 +282,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import random
+    import statistics
+    import time
+
+    from .oracle import random_genome_pair
+
     rng = random.Random(args.seed)
     prev = None
     for n in args.sizes:

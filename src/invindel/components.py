@@ -4,19 +4,19 @@ Cycles whose upper-edge spans cross belong to one component; components
 chain and nest along the upper line, giving a rooted tree of round
 (component) and square (chain) nodes.  Contracting every connected block
 of non-bad nodes yields the unrooted tagged tree on which cover costs are
-computed.
+computed; a cover and the cost of one of its paths are defined here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import compress
 from operator import eq, lt, ne, not_, or_
 from typing import NamedTuple
 
 from .diagram import TAG_A_BIT, TAG_B_BIT, RelationalDiagram, build_relational_diagram
-from .errors import InvindelError
+from .errors import InvindelError, PreconditionViolated, ShortPathOnGoodNode
 from .genome import GenomePair
 
 TAG_A = "A"
@@ -536,6 +536,67 @@ class TaggedTree:
             raise InvindelError("tagged tree is not connected")
         if nodes and sum(map(len, adj.values())) != 2 * (len(nodes) - 1):
             raise InvindelError("tagged tree has a cycle")
+
+
+class CoverPath(NamedTuple):
+    """One path of a cover, between nodes ``u`` and ``v``, at its cost.
+
+    A path equals and hashes like a frozen record of its three fields: it
+    equals only another path, never a plain tuple.
+    """
+
+    u: int
+    v: int
+    cost: int
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CoverPath and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @property
+    def kind(self) -> str:
+        return "short" if self.u == self.v else "long"
+
+
+@dataclass
+class Cover:
+    paths: list[CoverPath] = field(default_factory=list)
+
+    @property
+    def total_cost(self) -> int:
+        return sum(p.cost for p in self.paths)
+
+    def validate(self, tree: TaggedTree) -> None:
+        """Check every bad node is covered and every declared cost is right."""
+        covered: set[int] = set()
+        for p in self.paths:
+            if p.u not in tree.nodes or p.v not in tree.nodes:
+                raise PreconditionViolated(f"path {p.u}-{p.v} ends outside the tree")
+            expect = path_cost(tree, p.u, p.v).cost
+            if expect != p.cost:
+                raise PreconditionViolated(
+                    f"path {p.u}-{p.v} declared cost {p.cost}, recomputed {expect}"
+                )
+            covered.update(tree.path(p.u, p.v))
+        missing = [b for b in tree.bad_nodes() if b not in covered]
+        if missing:
+            raise PreconditionViolated(f"bad nodes uncovered: {missing}")
+
+
+def path_cost(tree: TaggedTree, u: int, v: int) -> CoverPath:
+    """Cost of the path between two nodes: a short path cuts one bad
+    component (cost 1); a long path merges, at cost 1 when the endpoint
+    components share a tag and 2 otherwise."""
+    if u == v:
+        if not tree.is_bad(u):
+            raise ShortPathOnGoodNode(u)
+        return CoverPath(u, u, 1)
+    shared = tree.tags(u) & tree.tags(v)
+    return CoverPath(u, v, 1 if shared else 2)
 
 
 def _settle(b, block, tags: frozenset[str], bads, gained: dict, folded: dict) -> int | None:

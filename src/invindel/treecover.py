@@ -2,87 +2,32 @@
 
 A cover is a set of paths touching every bad node.  A path on a single bad
 node costs 1 (a component cut); a longer path costs 1 when its endpoints
-share a tag (indel-saving merge) and 2 otherwise.  This module provides
-path costs, the circular-pairing traversal cover, closed forms for the
-single-tag-class trees, and the topology queries (partition subtrees,
-links, mates, solo candidates) that bind residual recipes to nodes and feed
-the topology trace.
+share a tag (indel-saving merge) and 2 otherwise.  The cover and its path
+costs live beside the tagged tree in `components`, so that a pair with an
+empty tree never loads this module; they are re-exported here.  This
+module provides the circular-pairing traversal cover, the leaf bound,
+closed forms for the single-tag-class trees, and the topology queries
+(partition subtrees, links, mates, solo candidates) that bind residual
+recipes to nodes and feed the topology trace.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
-from .components import CLASS_TAGS, TAG_A, TAG_B, TaggedTree, spanning_subtree
-from .errors import (
-    OddLeafCount,
-    PreconditionViolated,
-    ShortPathOnGoodNode,
+from .components import (
+    CLASS_TAGS,
+    TAG_A,
+    TAG_B,
+    Cover,
+    CoverPath,
+    TaggedTree,
+    path_cost,
+    spanning_subtree,
 )
-
-
-class CoverPath(NamedTuple):
-    """One path of a cover, between nodes ``u`` and ``v``, at its cost.
-
-    A path equals and hashes like a frozen record of its three fields: it
-    equals only another path, never a plain tuple.
-    """
-
-    u: int
-    v: int
-    cost: int
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is CoverPath and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    @property
-    def kind(self) -> str:
-        return "short" if self.u == self.v else "long"
-
-
-@dataclass
-class Cover:
-    paths: list[CoverPath] = field(default_factory=list)
-
-    @property
-    def total_cost(self) -> int:
-        return sum(p.cost for p in self.paths)
-
-    def validate(self, tree: TaggedTree) -> None:
-        """Check every bad node is covered and every declared cost is right."""
-        covered: set[int] = set()
-        for p in self.paths:
-            if p.u not in tree.nodes or p.v not in tree.nodes:
-                raise PreconditionViolated(f"path {p.u}-{p.v} ends outside the tree")
-            expect = path_cost(tree, p.u, p.v).cost
-            if expect != p.cost:
-                raise PreconditionViolated(
-                    f"path {p.u}-{p.v} declared cost {p.cost}, recomputed {expect}"
-                )
-            covered.update(tree.path(p.u, p.v))
-        missing = [b for b in tree.bad_nodes() if b not in covered]
-        if missing:
-            raise PreconditionViolated(f"bad nodes uncovered: {missing}")
-
-
-def path_cost(tree: TaggedTree, u: int, v: int) -> CoverPath:
-    """Cost of the path between two nodes: a short path cuts one bad
-    component (cost 1); a long path merges, at cost 1 when the endpoint
-    components share a tag and 2 otherwise."""
-    if u == v:
-        if not tree.is_bad(u):
-            raise ShortPathOnGoodNode(u)
-        return CoverPath(u, u, 1)
-    shared = tree.tags(u) & tree.tags(v)
-    return CoverPath(u, v, 1 if shared else 2)
+from .errors import OddLeafCount, PreconditionViolated
 
 
 # ---------------------------------------------------------------------------

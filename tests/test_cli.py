@@ -9,11 +9,17 @@ import pytest
 
 from conftest import bt
 
-from invindel import cli, commands
+from invindel import cli, treecover
 from invindel.cli import compute_distance, distance_report, main, tau_star
 from invindel.commands import build_parser
 from invindel.errors import AnchorNotCommon, InvindelError
-from invindel.genome import LINEAR, GenomePair, classify_markers, parse_chromosome
+from invindel.genome import (
+    LINEAR,
+    GenomePair,
+    classify_markers,
+    parse_chromosome,
+    read_pair_text,
+)
 
 FIG_A = "a t j b d f e g -c h i u k v o n l m"
 FIG_B = "a w b c d e f g h x i j y k l z m n o"
@@ -125,14 +131,20 @@ def test_cli_dist_json_roundtrip(genome_file, capsys):
 
 
 # Run in a fresh interpreter: modules loaded by the interpreter's own start-up
-# are not charged to the distance.
+# are not charged to the distance.  argv: a pair without bad components, a
+# pair with them, then the modules neither distance may load.
 COLD_START = """\
 import sys
 before = set(sys.modules)
 from invindel.cli import distance_report
 from invindel.genome import read_pair_text
 assert distance_report(*read_pair_text("a -c b d\\nd c -b a\\n")).distance == 2
-print(sorted((set(sys.modules) - before) & set(sys.argv[1:])))
+assert distance_report(*read_pair_text(sys.argv[1])).run.tagged.is_empty
+print(sorted((set(sys.modules) - before) & set(sys.argv[3:])))
+rep = distance_report(*read_pair_text(sys.argv[2]))
+print(sorted({"invindel.reduction", "invindel.residual", "invindel.treecover"} - set(sys.modules)))
+import json
+print(json.dumps(rep.to_dict(), sort_keys=True))
 import invindel
 assert invindel.brute_force_tau is sys.modules["invindel.oracle"].brute_force_tau
 names = {}
@@ -141,23 +153,81 @@ assert set(invindel.__all__) <= set(names) and set(invindel.__all__) <= set(dir(
 print("oracle on use")
 """
 
+TAU_STAR_MODULES = ["invindel.reduction", "invindel.residual", "invindel.treecover"]
+
+
+def _no_bad_components_text() -> str:
+    """55 common markers, two blocks of them inverted, and three exclusive
+    markers in A and one in B: a pair whose tagged tree is empty."""
+    common = [f"m{i}" for i in range(1, 56)]
+    a = common[:20] + ["x1"] + common[20:40] + ["x2", "x3"] + common[40:]
+    b = list(common)
+    b[4:9] = ["-" + m for m in reversed(b[4:9])]
+    b[30:34] = ["-" + m for m in reversed(b[30:34])]
+    b.insert(45, "y1")
+    return f"{' '.join(a)}\n{' '.join(b)}\n"
+
 
 def test_distance_import_loads_only_the_pipeline(genome_file):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    unwanted = ["argparse", "json", "statistics", "invindel.oracle", "invindel.commands"]
+    unwanted = [
+        "argparse", "json", "statistics", "invindel.oracle", "invindel.commands", *TAU_STAR_MODULES
+    ]
     cold = subprocess.run(
-        [sys.executable, "-c", COLD_START, *unwanted],
+        [sys.executable, "-c", COLD_START, _no_bad_components_text(), f"{FIG_A}\n{FIG_B}\n",
+         *unwanted],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert cold.stdout.splitlines() == ["[]", "oracle on use"]
+    a, b = (parse_chromosome(line) for line in (FIG_A, FIG_B))
+    report = json.dumps(distance_report(a, b).to_dict(), sort_keys=True)
+    assert json.loads(report)["tau_star"] == 2
+    assert cold.stdout.splitlines() == ["[]", "[]", report, "oracle on use"]
 
     out = subprocess.run(
         [sys.executable, "-m", "invindel", "dist", genome_file, "--json"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    a, b = (parse_chromosome(line) for line in (FIG_A, FIG_B))
-    assert out == json.dumps(distance_report(a, b).to_dict(), sort_keys=True) + "\n"
+    assert out == report + "\n"
+
+
+def test_dist_without_bad_components_loads_no_tau_star_module(tmp_path):
+    path = tmp_path / "plain.txt"
+    path.write_text(_no_bad_components_text())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "invindel", "dist", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert "extra cover: 0" in run.stdout
+    loaded = {
+        line.split("|")[-1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "invindel.commands" in loaded
+    assert loaded.isdisjoint(["invindel.oracle", "statistics", *TAU_STAR_MODULES])
+
+
+def test_empty_tree_cover_is_a_cover_without_paths():
+    import invindel
+
+    a, b = read_pair_text(_no_bad_components_text())
+    rep = distance_report(a, b)
+    assert rep.run.tagged.is_empty and rep.tau_star == 0
+    assert isinstance(rep.run.cover, invindel.Cover) and rep.run.cover.paths == []
+    assert invindel.Cover is treecover.Cover and invindel.CoverPath is treecover.CoverPath
+
+
+def test_lazy_package_names_are_their_modules_objects():
+    import importlib
+
+    import invindel
+
+    assert set(invindel._LAZY) <= set(invindel.__all__)
+    for name, module in invindel._LAZY.items():
+        home = importlib.import_module(f"invindel.{module}")
+        assert getattr(invindel, name) is getattr(home, name)
 
 
 def test_cli_anchor_override(genome_file, capsys):
@@ -352,7 +422,7 @@ def test_cli_verify_smoke(capsys):
 
 
 def test_cli_verify_counts_a_leaf_bound_above_the_optimum(monkeypatch, capsys):
-    monkeypatch.setattr(commands, "cover_floor", lambda tree: 99)
+    monkeypatch.setattr(treecover, "cover_floor", lambda tree: 99)
     assert main(["verify", "--trials", "12", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "leaf bound: 0/68 hold" in out and "verify: FAIL (68)" in out
@@ -411,6 +481,44 @@ def test_distance_invariant_under_relabeling():
 
         mapped = GenomePair(rn(pair.a), rn(pair.b))
         assert compute_distance(pair).distance == compute_distance(mapped).distance
+
+
+def test_distance_symmetries_at_size():
+    # above about 40 tree nodes no oracle checks an answer; on structured
+    # pairs of hundreds of markers the distance must still not change under
+    # role exchange, mirroring both genomes, renaming and re-orienting the
+    # markers, and (linear only) reading one chromosome backwards
+    import random
+
+    from invindel.genome import Chromosome, Marker
+    from invindel.oracle import structured_genome_pair
+
+    rng = random.Random(2207)
+    pairs = [structured_genome_pair(rng, rng.randint(10, 60)) for _ in range(60)]
+    for _ in range(40):
+        pair = structured_genome_pair(rng, rng.randint(5, 40))
+        pairs.append(GenomePair(*(Chromosome(ch.markers, LINEAR) for ch in (pair.a, pair.b))))
+    for pair in pairs:
+        a, b = pair.a, pair.b
+        names = sorted(a.names() | b.names())
+        renamed = dict(zip(names, rng.sample(range(len(names)), len(names))))
+        flip = {n: rng.random() < 0.5 for n in names}
+
+        def relabeled(ch: Chromosome) -> Chromosome:
+            return Chromosome(
+                tuple(Marker(f"r{renamed[m.name]}", m.forward != flip[m.name]) for m in ch.markers),
+                ch.shape,
+            )
+
+        variants = [
+            (b, a),
+            (a.reversed_flipped(), b.reversed_flipped()),
+            (relabeled(a), relabeled(b)),
+        ]
+        if a.shape == LINEAR:
+            variants.append((a, b.reversed_flipped()))
+        want = distance_report(a, b).distance
+        assert [distance_report(*v).distance for v in variants] == [want] * len(variants)
 
 
 def _tau_star_calls(monkeypatch) -> list:
