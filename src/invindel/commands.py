@@ -3,12 +3,11 @@
 Kept apart from `cli`, which holds the distance itself, so that importing
 a distance loads neither the argument parser nor the oracle.  Each command
 imports what only it uses, so a plain `dist` on a pair without bad
-components loads neither the oracle nor the τ* modules."""
+components loads neither the oracle, `json` nor the τ* modules."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cli import DistanceReport, compute_distance, distance_report, tau_star
@@ -113,6 +112,8 @@ def _emit_traces(args, rep: DistanceReport) -> None:
         print(format_tagged_tree(tagged))
         print(format_tagged_tree_dot(tagged))
     if "topology" in wanted and not tagged.is_empty:
+        import json
+
         from .treecover import analyze_topology
 
         print("== topology ==")
@@ -183,6 +184,8 @@ def _cmd_dist(args) -> int:
         else:
             print("oracle: skipped (instance above budget)", file=sys.stderr)
     if args.json:
+        import json
+
         print(json.dumps(rep.to_dict(), sort_keys=True))
     else:
         print(f"distance: {rep.distance}")

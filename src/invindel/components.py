@@ -17,12 +17,13 @@ from typing import NamedTuple
 
 from .diagram import TAG_A_BIT, TAG_B_BIT, RelationalDiagram, build_relational_diagram
 from .errors import InvindelError, PreconditionViolated, ShortPathOnGoodNode
-from .genome import GenomePair
+from .genome import GenomePair, strict_record
 
 TAG_A = "A"
 TAG_B = "B"
 
-# The leaf classes and the tag set of each.
+# The leaf classes, in the order a composition counts them, and the tag set
+# of each.
 CLASS_TAGS = {
     "A": frozenset({TAG_A}),
     "B": frozenset({TAG_B}),
@@ -408,11 +409,8 @@ class TaggedTree:
 
     def leaves(self) -> list[int]:
         if self._leaves is None:
-            if len(self.nodes) == 1:
-                self._leaves = list(self.nodes)
-            else:
-                adj = self.adj
-                self._leaves = sorted(u for u in self.nodes if len(adj[u]) <= 1)
+            adj = self.adj
+            self._leaves = sorted(u for u in self.nodes if len(adj[u]) <= 1)
         return self._leaves
 
     def bad_nodes(self) -> list[int]:
@@ -437,8 +435,8 @@ class TaggedTree:
         return self._classes
 
     def composition(self) -> tuple[int, int, int, int]:
-        cls = self.leaf_classes()
-        return (len(cls["A"]), len(cls["B"]), len(cls["C"]), len(cls["AB"]))
+        """The leaf count of each class, in the order of ``CLASS_TAGS``."""
+        return tuple(map(len, self.leaf_classes().values()))
 
     def component_home(self) -> dict[int, int]:
         """The node whose ``src`` holds each component."""
@@ -538,24 +536,14 @@ class TaggedTree:
             raise InvindelError("tagged tree has a cycle")
 
 
+@strict_record
 class CoverPath(NamedTuple):
-    """One path of a cover, between nodes ``u`` and ``v``, at its cost.
-
-    A path equals and hashes like a frozen record of its three fields: it
-    equals only another path, never a plain tuple.
-    """
+    """One path of a cover, between nodes ``u`` and ``v``, at its cost; a
+    strict record of its three fields."""
 
     u: int
     v: int
     cost: int
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is CoverPath and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
     @property
     def kind(self) -> str:

@@ -118,7 +118,6 @@ class RelationalDiagram:
     """The diagram's cycles as columns, indexed by cycle id; ids follow
     the cycles' first upper edges.  All lists are read only."""
 
-    pair: GenomePair
     anchor: str
     g_count: int
     owner: list[int]  # owner[e]: the id of the cycle that walks upper edge e
@@ -231,5 +230,5 @@ def build_relational_diagram(pair: GenomePair, anchor: str) -> RelationalDiagram
     # A dict keeps the first place it meets each key and the last value
     # stored under it; owners are met in id order, at each cycle's first edge.
     last = list(dict(zip(owner, range(g))).values())
-    return RelationalDiagram(pair, anchor, g, owner, first, last, goods, runs, tags)
+    return RelationalDiagram(anchor, g, owner, first, last, goods, runs, tags)
 

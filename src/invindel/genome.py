@@ -28,23 +28,26 @@ LINEAR = "linear"
 SIGN_PREFIX = "-"
 
 
-class Marker(NamedTuple):
-    """One oriented marker occurrence.
-
-    A marker equals and hashes like a frozen record of its two fields: it
-    equals only another marker, never a plain tuple.
-    """
-
-    name: str
-    forward: bool = True
+def strict_record(cls):
+    """Make a ``NamedTuple`` record equal only to a record of its own class,
+    never to a plain tuple, while it hashes like the tuple of its fields."""
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is Marker and tuple.__eq__(self, other)
+        return other.__class__ is cls and tuple.__eq__(self, other)
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-    __hash__ = tuple.__hash__
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    return cls
+
+
+@strict_record
+class Marker(NamedTuple):
+    """One oriented marker occurrence, a strict record of its two fields."""
+
+    name: str
+    forward: bool = True
 
     def flipped(self) -> "Marker":
         return Marker(self.name, not self.forward)

@@ -45,10 +45,9 @@ DEFAULT_BUDGET = OracleBudget()
 # Exhaustive tree covers
 
 
-def _cover_candidates(tree: TaggedTree, allow_bridges: bool) -> list[tuple[int, int]]:
+def _cover_candidates(tree: TaggedTree) -> list[tuple[int, int]]:
     bads = tree.bad_nodes()
     bit = {b: i for i, b in enumerate(bads)}
-    leaves = set(tree.leaves())
     ids = tree.node_ids()
     node_bit = {u: (1 << bit[u] if tree.is_bad(u) else 0) for u in ids}
     best_for_mask: dict[int, int] = {}
@@ -66,10 +65,7 @@ def _cover_candidates(tree: TaggedTree, allow_bridges: bool) -> list[tuple[int, 
         for v in ids:
             if v < u:
                 continue
-            if u == v:
-                if not tree.is_bad(u):
-                    continue
-            elif not allow_bridges and u not in leaves and v not in leaves:
+            if u == v and not tree.is_bad(u):
                 continue
             mask = mask_to[v]
             if not mask:
@@ -88,9 +84,7 @@ def _cover_candidates(tree: TaggedTree, allow_bridges: bool) -> list[tuple[int, 
     return kept
 
 
-def brute_force_tau(
-    tree: TaggedTree, budget: OracleBudget = DEFAULT_BUDGET, allow_bridges: bool = True
-) -> int:
+def brute_force_tau(tree: TaggedTree, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact minimum cover cost by memoized search over uncovered bad sets."""
     if len(tree) > budget.max_tree_nodes:
         raise BudgetExceeded(f"{len(tree)} nodes exceeds {budget.max_tree_nodes}")
@@ -102,7 +96,7 @@ def brute_force_tau(
     for u in tree.leaves():
         if tree.is_bad(u):
             leaf_mask |= 1 << bit[u]
-    candidates = _cover_candidates(tree, allow_bridges)
+    candidates = _cover_candidates(tree)
     by_bit: list[list[tuple[int, int]]] = [[] for _ in bads]
     for mask, cost in candidates:
         for i in range(len(bads)):
@@ -303,11 +297,11 @@ def _random_tags(rng: random.Random, p_tag: float) -> str:
     return rng.choice(["A", "B", "AB"])
 
 
-def random_residual_tree(
-    composition: tuple[int, int, int, int],
-    rng: random.Random,
-    max_tries: int = 4000,
-) -> TaggedTree:
+# Layouts random_residual_tree draws before it gives up on a composition.
+RESIDUAL_TRIES = 4000
+
+
+def random_residual_tree(composition: tuple[int, int, int, int], rng: random.Random) -> TaggedTree:
     """Random contracted tree whose leaf composition matches exactly.
 
     Mixes star-like, clustered (per-class subtrees behind bad links) and
@@ -316,7 +310,7 @@ def random_residual_tree(
     """
     la, lb, lc, lab = composition
     wanted = ["A"] * la + ["B"] * lb + ["C"] * lc + ["AB"] * lab
-    for _ in range(max_tries):
+    for _ in range(RESIDUAL_TRIES):
         tree = _residual_attempt(wanted, rng)
         if tree is None:
             continue

@@ -18,8 +18,9 @@ import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .components import TaggedTree, reduce_by_paths
+from .components import CLASS_TAGS, TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, DegenerateTree, PreconditionViolated, UnknownComposition
+from .genome import strict_record
 from .residual import optimal_cover_of_residual, table_takes
 from .treecover import (
     Cover,
@@ -35,23 +36,14 @@ from .treecover import (
 )
 
 
+@strict_record
 class ReductionStep(NamedTuple):
-    """One spent in-traversal.  A step equals and hashes like a frozen
-    record of its four fields: it equals only another step, never a plain
-    tuple."""
+    """One spent in-traversal, a strict record of its four fields."""
 
     kind: str  # balanced_in_traversal | solo_safe_clean | three_to_one
     path: tuple[int, int]  # endpoints in input-tree node ids
     cost: int
     leaf_class: str
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is ReductionStep and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
 
 @dataclass
@@ -165,29 +157,15 @@ class _Reducer:
         other.steps = list(self.steps)
         return other
 
-    def class_leaves(self, cls: str) -> list[int]:
-        return self.work.leaf_classes()[cls]
-
     def apply_pairs(self, pairs: list[tuple[int, int]], kind: str, cls: str) -> None:
-        if not pairs:
-            return
         paths = [path_cost(self.work, u, v) for u, v in pairs]
         for p in lift_paths(self.base, self.work, paths):
             self.steps.append(ReductionStep(kind, (p.u, p.v), p.cost, cls))
         self.work = reduce_by_paths(self.work, pairs)
 
-    def three_to_one(self, cls: str, kept: int | None = None) -> None:
-        """Shrink a three-leaf class to the leaf ``kept``, by default its
-        essential leaf, by spending one traversal on the other two."""
-        leaves = self.class_leaves(cls)
-        if kept is None:
-            kept = essential_leaf(self.work, leaves)
-        u, v, *_ = (x for x in leaves if x != kept)
-        self.apply_pairs([(u, v)], "three_to_one", cls)
-
 
 _SHRINK_ORDER = ("A", "B", "AB", "C")
-_SLOT = {"A": 0, "B": 1, "C": 2, "AB": 3}  # place in a composition
+_SLOT = {cls: i for i, cls in enumerate(CLASS_TAGS)}  # place in a composition
 
 
 def _fewest(n: int) -> int:
@@ -216,8 +194,9 @@ def kept_count(composition: tuple[int, int, int, int], cls: str) -> int:
 def _shrink(r: _Reducer, cls: str, solo: int | None = None) -> None:
     """Shrink one leaf class to its kept count: balanced in-traversals down
     to that count (to three when one leaf is to stay), then the three-to-one
-    step, which keeps ``solo`` when given."""
-    leaves = r.class_leaves(cls)
+    step, which keeps ``solo`` when given and else the essential leaf,
+    spending one traversal on the other two."""
+    leaves = r.work.leaf_classes()[cls]
     n = len(leaves)
     keep = kept_count(r.work.composition(), cls)
     target = 3 if keep == 1 else keep
@@ -226,7 +205,10 @@ def _shrink(r: _Reducer, cls: str, solo: int | None = None) -> None:
         kind = "solo_safe_clean" if cls == "C" else "balanced_in_traversal"
         r.apply_pairs(pairs, kind, cls)
     if keep == 1 and n > 1:
-        r.three_to_one(cls, solo)
+        leaves = r.work.leaf_classes()[cls]
+        kept = essential_leaf(r.work, leaves) if solo is None else solo
+        u, v, *_ = (x for x in leaves if x != kept)
+        r.apply_pairs([(u, v)], "three_to_one", cls)
 
 
 def _result_for(branch: _Reducer, depth: int) -> ResidualResult:

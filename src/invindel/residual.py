@@ -464,6 +464,7 @@ TABLE.update(_G2_ACX)
 TABLE.update(_G3)
 
 assert len(TABLE) == 56
+assert all(la >= lb for la, lb, _, _ in TABLE)
 
 
 def known_compositions() -> list[tuple[int, int, int, int]]:
@@ -472,7 +473,7 @@ def known_compositions() -> list[tuple[int, int, int, int]]:
 
 def table_takes(la: int, lb: int, lc: int, lab: int) -> bool:
     """Whether the tables cover the composition, read with A and B either way."""
-    return (la, lb, lc, lab) in TABLE or (lb, la, lc, lab) in TABLE
+    return (max(la, lb), min(la, lb), lc, lab) in TABLE
 
 
 def normalize_ab_swap(tree: TaggedTree) -> TaggedTree:
@@ -554,28 +555,38 @@ def _instantiate(topo: Topology, cs: Case) -> Cover | None:
     return backtrack(0, set(), [])
 
 
-def _reduce_and_recurse(
-    tree: TaggedTree, cs: Case, depth: int
-) -> tuple[Cover, list[str]] | None:
-    """Spend one in-traversal of the named class and recurse; every choice
-    of endpoints is tried and the cheapest valid cover kept."""
-    best: tuple[Cover, list[str]] | None = None
-    for u, v in combinations(tree.leaf_classes()[cs.reduce_class], 2):
-        first = path_cost(tree, u, v)
-        reduced = reduce_by_paths(tree, [(u, v)])
+def _case_covers(topo: Topology, cs: Case, depth: int, beats):
+    """The covers of one case that ``beats`` their cost, asked before each
+    is built, with the case labels of its sub-lookup.
+
+    A recipe case offers its binding.  A reduce case offers one cover per
+    pair of its class's leaves: spend the pair's in-traversal, look up the
+    smaller tree one level deeper and lift its cover.  A pair whose smaller
+    tree is off the tables or binds no case, or whose lifted cover does not
+    validate, offers none.
+    """
+    if cs.reduce_class is None:
+        if beats(cs.cost):
+            cover = _instantiate(topo, cs)
+            if cover is not None:
+                yield cover, []
+        return
+    work = topo.tree
+    for u, v in combinations(topo.classes[cs.reduce_class], 2):
+        first = path_cost(work, u, v)
+        reduced = reduce_by_paths(work, [(u, v)])
         try:
             sub_cover, sub_labels = optimal_cover_of_residual(reduced, _depth=depth - 1)
         except (UnknownComposition, NoCaseMatched):
             continue
-        if best is not None and first.cost + sub_cover.total_cost >= best[0].total_cost:
+        if not beats(first.cost + sub_cover.total_cost):
             continue
-        cover = Cover([first] + lift_paths(tree, reduced, sub_cover.paths))
+        cover = Cover([first] + lift_paths(work, reduced, sub_cover.paths))
         try:
-            cover.validate(tree)
+            cover.validate(work)
         except PreconditionViolated:
             continue
-        best = (cover, sub_labels)
-    return best
+        yield cover, sub_labels
 
 
 def optimal_cover_of_residual(
@@ -583,18 +594,17 @@ def optimal_cover_of_residual(
 ) -> tuple[Cover, list[str]]:
     """Witness cover of least cost and case labels for a residual tree.
 
-    Walks the composition's cases in table order and binds each recipe to
-    the tree; a recipe binds only when its cover validates at the declared
-    cost, so every candidate is a real cover.  A case that cannot beat the
-    best cover found so far is skipped; a reduce case, whose cost is known
-    only once it has run, is tried while the walk goes on.  Costs never
-    decrease along a case list, so the answer is the first case whose
-    recipe binds at the minimum cost.
+    Walks the composition's cases in table order and keeps one best cover:
+    a case's cover is built only when its cost is strictly below the best
+    so far.  A recipe binds only when its cover validates at the declared
+    cost, so every candidate is a real cover; a reduce case's candidates
+    are its pairs, each priced by its sub-lookup before it is lifted.
+    Costs never decrease along a case list, so the answer is the first
+    candidate that binds at the minimum cost.
 
     The walk stops once the best cover costs the tree's leaf bound
-    (`treecover.cover_floor`).  A later case, reduce cases included,
-    replaces the best only at a strictly lower cost, and no cover costs
-    less than the bound, so the stop changes no answer.
+    (`treecover.cover_floor`), between a reduce case's pairs too: no cover
+    costs less than the bound, so no later candidate could replace it.
     """
     if _depth <= 0:
         raise BudgetExceeded("reduction recursion too deep")
@@ -606,24 +616,15 @@ def optimal_cover_of_residual(
     topo = Topology(work)
     floor = cover_floor(work)
     best: tuple[Cover, list[str]] | None = None
+
+    def beats(cost: int) -> bool:
+        return best is None or cost < best[0].total_cost
+
     for cs in cases:
-        if cs.reduce_class is not None:
-            got = _reduce_and_recurse(work, cs, _depth)
-            if got is None:
-                continue
-            cover, sub_labels = got
-            labels = [f"{comp} {cs.label}"] + sub_labels
-        else:
-            if best is not None and cs.cost >= best[0].total_cost:
-                continue
-            cover = _instantiate(topo, cs)
-            if cover is None:
-                continue
-            labels = [f"{comp} {cs.label}"]
-        if best is None or cover.total_cost < best[0].total_cost:
-            best = (cover, labels)
+        for cover, sub_labels in _case_covers(topo, cs, _depth, beats):
+            best = (cover, [f"{comp} {cs.label}"] + sub_labels)
             if cover.total_cost <= floor:
-                break
+                return best
     if best is None:
         raise NoCaseMatched(str(comp))
     return best

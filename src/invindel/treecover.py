@@ -144,7 +144,7 @@ def cover_floor(tree: TaggedTree) -> int:
     for any tree.
     """
     counts = Counter(tree.tags(u) for u in tree.leaves() if tree.is_bad(u))
-    la, lb, lc, lab = (counts[CLASS_TAGS[c]] for c in ("A", "B", "C", "AB"))
+    la, lb, lc, lab = (counts[tags] for tags in CLASS_TAGS.values())
     return lc + (la + lb + lab + 1) // 2 + (la % 2 == lb % 2 == 1 and lab == 0)
 
 

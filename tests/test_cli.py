@@ -206,7 +206,7 @@ def test_dist_without_bad_components_loads_no_tau_star_module(tmp_path):
         if line.startswith("import time:")
     }
     assert "invindel.commands" in loaded
-    assert loaded.isdisjoint(["invindel.oracle", "statistics", *TAU_STAR_MODULES])
+    assert loaded.isdisjoint(["invindel.oracle", "statistics", "json", *TAU_STAR_MODULES])
 
 
 def test_empty_tree_cover_is_a_cover_without_paths():
@@ -519,6 +519,43 @@ def test_distance_symmetries_at_size():
             variants.append((a, b.reversed_flipped()))
         want = distance_report(a, b).distance
         assert [distance_report(*v).distance for v in variants] == [want] * len(variants)
+
+
+def test_distance_neighbours_at_size():
+    # one operation moves the distance by at most one: an inversion of B
+    # either way, inserting a block of fresh markers into B never lowers it,
+    # and deleting a maximal run of B-only markers never raises it
+    import random
+
+    from invindel.genome import Chromosome, Marker
+    from invindel.oracle import structured_genome_pair
+
+    rng = random.Random(2311)
+    for n in range(60):
+        pair = structured_genome_pair(rng, rng.randint(10, 60))
+        a, ms = pair.a, list(pair.b.markers)
+        d = distance_report(a, pair.b).distance
+
+        i, j = sorted(rng.sample(range(len(ms) + 1), 2))
+        inverted = ms[:i] + [m.flipped() for m in reversed(ms[i:j])] + ms[j:]
+        assert abs(distance_report(a, Chromosome(inverted)).distance - d) <= 1, n
+
+        k = rng.randint(0, len(ms))
+        fresh = [Marker(f"new{f}", rng.random() < 0.5) for f in range(rng.randint(1, 3))]
+        grown = distance_report(a, Chromosome(ms[:k] + fresh + ms[k:])).distance
+        assert d <= grown <= d + 1, n
+
+        # the maximal runs of B-only markers, read circularly from a common one
+        start = next(i for i, m in enumerate(ms) if m.name in pair.common)
+        runs = [[]]
+        for i in (x % len(ms) for x in range(start, start + len(ms))):
+            if ms[i].name in pair.common:
+                runs.append([])
+            else:
+                runs[-1].append(i)
+        drop = set(rng.choice([run for run in runs if run]))
+        shrunk = distance_report(a, Chromosome([m for i, m in enumerate(ms) if i not in drop]))
+        assert shrunk.distance <= d <= shrunk.distance + 1, n
 
 
 def _tau_star_calls(monkeypatch) -> list:

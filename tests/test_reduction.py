@@ -472,3 +472,21 @@ def test_clean_phase_stops_at_parity_bound(monkeypatch):
 def test_pipeline_depth_guard_raises():
     with pytest.raises(BudgetExceeded):
         _run_pipeline(_Reducer(fig.REDUCTION3), depth=0)
+
+
+def test_off_table_composition_runs_the_pipeline_again(monkeypatch):
+    tree = fig.RERUN_0032
+    assert tree.composition() == (0, 0, 3, 2) and cover_floor(tree) == 4
+    depths = []
+    inner = reduction._run_pipeline
+
+    def counting(r, depth=8):
+        depths.append(depth)
+        return inner(r, depth)
+
+    monkeypatch.setattr(reduction, "_run_pipeline", counting)
+    res = compute_residual(tree)
+    assert depths == [8, 7]
+    assert res.steps == [ReductionStep("three_to_one", (1, 7), 2, "C")]
+    assert res.case_trace == ["(0, 0, 1, 2) W"]
+    assert tau_star(tree)[0] == res.total_cost == brute_force_tau(tree) == 5

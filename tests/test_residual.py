@@ -162,16 +162,16 @@ def test_reduction_depth_guard_raises():
 
 def test_lookup_stops_at_leaf_bound(monkeypatch):
     # case S binds at the leaf bound, parity term included, so the reduce
-    # case >> after it is not run (a walk without the stop runs it once)
+    # case >> after it spends no pair (a walk without the stop spends some)
     tree = fig.FLOOR_1130
     calls = []
-    inner = residual._reduce_and_recurse
+    inner = residual.reduce_by_paths
 
-    def counting(tree, cs, depth):
-        calls.append(cs.label)
-        return inner(tree, cs, depth)
+    def counting(tree, pairs):
+        calls.append(pairs)
+        return inner(tree, pairs)
 
-    monkeypatch.setattr(residual, "_reduce_and_recurse", counting)
+    monkeypatch.setattr(residual, "reduce_by_paths", counting)
     cover, labels = optimal_cover_of_residual(tree)
     cover.validate(tree)
     assert labels == ["(1, 1, 3, 0) S"] and calls == []

@@ -524,3 +524,16 @@ FLOOR_1130 = bt(
     },
     [(0, 1), (0, 10), (1, 2), (2, 3), (2, 5), (2, 6), (2, 8), (3, 4), (6, 7), (8, 9), (10, 11)],
 )
+
+# -- reducer re-run off the table ----------------------------------------------
+# Composition (0, 0, 3, 2), leaf bound 4, optimum 5.  Under the solo
+# hypothesis that keeps clean leaf 1, the three-to-one step spends 5..7 and
+# node 2, holding the AB leaf 3, becomes an AB leaf: (0, 0, 1, 3) is outside
+# the tables, so the reducer runs its phases again one level deeper.  The
+# cheapest cover still comes from the hypothesis with no solo leaf.  The
+# 8,605th draw of random_tagged_tree(random.Random(1), 20, 20).
+
+RERUN_0032 = bt(
+    {0: "bB", 1: "b", 2: "b", 3: "bAB", 4: "b", 5: "b", 6: "gAB", 7: "b", 9: "bAB", 11: "bAB"},
+    [(0, 1), (0, 2), (0, 4), (2, 3), (3, 5), (3, 7), (4, 6), (6, 9), (6, 11)],
+)
