@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .components import ChainedTree, Cover, TaggedTree, tagged_tree_for_pair
 from .diagram import RelationalDiagram, check_anchor
 from .errors import InvindelError
-from .genome import CIRCULAR, LINEAR, Chromosome, GenomePair, cap_linear_pair
+from .genome import CIRCULAR, LINEAR, Chromosome, GenomePair, cap_linear_pair, strict_record
 
 if TYPE_CHECKING:
     from .reduction import ResidualResult
 
 
-@dataclass
-class PipelineRun:
+@strict_record
+class PipelineRun(NamedTuple):
     """What one run on a circular or capped pair built on its way to the
     distance, for traces."""
 
@@ -27,30 +26,78 @@ class PipelineRun:
     residual: ResidualResult | None
 
 
-@dataclass
 class DistanceReport:
     """The distance g - c + Σλ + τ* with its terms and τ*'s witness cover.
 
     For linear input, ``g_count``, ``cycles``, ``indel_potential_sum`` and
     the cover's component ids describe the chosen capped circular pair
-    (``capping``), whose cap counts as one more common marker."""
+    (``capping``), whose cap counts as one more common marker.
 
-    distance: int
-    g_count: int
-    cycles: int
-    indel_potential_sum: int
-    tau_star: int
-    anchor: str | None
-    solo_leaf: list[int] | None = None
-    cover: list[dict] = field(default_factory=list)
-    reduction_steps: list[dict] = field(default_factory=list)
-    case_trace: list[str] = field(default_factory=list)
-    capping: str | None = None
-    run: PipelineRun | None = field(default=None, repr=False, compare=False)
+    ``__slots__`` lists the fields in order; every field but ``run``, the
+    pipeline's artifacts, makes up ``to_dict``, equality and the repr.  A
+    report built without ``cover``, ``reduction_steps`` or ``case_trace``
+    gets an empty list of its own."""
+
+    __slots__ = (
+        "distance",
+        "g_count",
+        "cycles",
+        "indel_potential_sum",
+        "tau_star",
+        "anchor",
+        "solo_leaf",
+        "cover",
+        "reduction_steps",
+        "case_trace",
+        "capping",
+        "run",
+    )
+
+    def __init__(
+        self,
+        distance: int,
+        g_count: int,
+        cycles: int,
+        indel_potential_sum: int,
+        tau_star: int,
+        anchor: str | None,
+        solo_leaf: list[int] | None = None,
+        cover: list[dict] | None = None,
+        reduction_steps: list[dict] | None = None,
+        case_trace: list[str] | None = None,
+        capping: str | None = None,
+        run: PipelineRun | None = None,
+    ) -> None:
+        self.distance = distance
+        self.g_count = g_count
+        self.cycles = cycles
+        self.indel_potential_sum = indel_potential_sum
+        self.tau_star = tau_star
+        self.anchor = anchor
+        self.solo_leaf = solo_leaf
+        self.cover = [] if cover is None else cover
+        self.reduction_steps = [] if reduction_steps is None else reduction_steps
+        self.case_trace = [] if case_trace is None else case_trace
+        self.capping = capping
+        self.run = run
 
     def to_dict(self) -> dict:
-        """Every field but ``run``."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "run"}
+        """Every field but ``run``, in field order."""
+        return {name: getattr(self, name) for name in _REPORT_FIELDS}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DistanceReport:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"DistanceReport({fields})"
+
+
+_REPORT_FIELDS = tuple(name for name in DistanceReport.__slots__ if name != "run")
 
 
 def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[str]]:

@@ -209,9 +209,11 @@ def _cmd_verify(args) -> int:
         brute_force_distance,
         brute_force_linear_distance,
         brute_force_tau,
+        neighbour_checks,
         random_genome_pair,
         random_residual_tree,
         random_tagged_tree,
+        structured_genome_pair,
     )
     from .residual import known_compositions, optimal_cover_of_residual
     from .treecover import cover_floor
@@ -271,7 +273,8 @@ def _cmd_verify(args) -> int:
     print(f"anchor invariance: {ok}/{anchor_trials} agree")
     failures += anchor_trials - ok
 
-    # kept last: a section drawn earlier would change every later section's pairs
+    # sections added later run last, so that every earlier section draws the
+    # same pairs
     ok = 0
     for _ in range(dist_trials):
         pair = random_genome_pair(rng, rng.randint(2, 4), rng.randint(0, 1), rng.randint(0, 1))
@@ -279,6 +282,14 @@ def _cmd_verify(args) -> int:
         ok += brute_force_linear_distance(GenomePair(a, b)) == distance_report(a, b).distance
     print(f"linear distances: {ok}/{dist_trials} agree")
     failures += dist_trials - ok
+
+    ok = 0
+    neighbour_trials = max(1, trials // 20)
+    for _ in range(neighbour_trials):
+        pair = structured_genome_pair(rng, rng.randint(10, 40))
+        ok += not neighbour_checks(pair, rng)
+    print(f"neighbours: {ok}/{neighbour_trials} hold")
+    failures += neighbour_trials - ok
 
     print("verify:", "PASS" if failures == 0 else f"FAIL ({failures})")
     return 0 if failures == 0 else 1

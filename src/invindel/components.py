@@ -9,7 +9,6 @@ computed; a cover and the cost of one of its paths are defined here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import compress
 from operator import eq, lt, ne, not_, or_
@@ -54,19 +53,38 @@ class Component(NamedTuple):
     both_run_cycles: int
 
 
-@dataclass
 class Components:
     """The components of a diagram as columns, indexed by component id; ids
-    follow the components' leftmost upper edges.  All lists are read only.
-    ``comps[i]`` and iteration give ``Component`` rows, built on first use,
-    for traces and tests."""
+    follow the components' leftmost upper edges.  All lists are read only;
+    two column sets are equal when their columns are.  ``len()`` counts the
+    components; ``comps[i]`` and iteration give ``Component`` rows, built on
+    first use, for traces and tests."""
 
-    kind: list[str]
-    tags: list[int]  # tag bits, as the diagram's cycles carry them
-    left: list[int]  # leftmost upper edge
-    right: list[int]  # rightmost upper edge
-    both: list[int]  # cycles carrying both run types
-    of_cycle: list[int]  # the component of each cycle
+    def __init__(
+        self,
+        kind: list[str],
+        tags: list[int],  # tag bits, as the diagram's cycles carry them
+        left: list[int],  # leftmost upper edge
+        right: list[int],  # rightmost upper edge
+        both: list[int],  # cycles carrying both run types
+        of_cycle: list[int],  # the component of each cycle
+    ) -> None:
+        self.kind = kind
+        self.tags = tags
+        self.left = left
+        self.right = right
+        self.both = both
+        self.of_cycle = of_cycle
+
+    def _fields(self) -> tuple:
+        return self.kind, self.tags, self.left, self.right, self.both, self.of_cycle
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Components:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -220,9 +238,10 @@ def find_components(diagram: RelationalDiagram) -> Components:
     return Components(kind, list(compress(comp_tags, is_root)), left, right, both, of_cycle)
 
 
-@dataclass
-class ChainedTree:
-    """Rooted tree of round (component) and square (chain) nodes.
+@strict_record
+class ChainedTree(NamedTuple):
+    """Rooted tree of round (component) and square (chain) nodes, a strict
+    record of its four fields.
 
     Chains are listed top-down: the component a chain nests in lies in an
     earlier chain.  ``build_chained_tree`` lists the chains by the id of
@@ -340,7 +359,8 @@ def mark_costless_merges(tree: ChainedTree) -> ChainedTree:
         return tree
     span = spanning_subtree(tree.parent_array(), list(compress(range(len(both)), both)))
     kind = [GOOD if k == BAD and c in span else k for c, k in enumerate(comps.kind)]
-    return ChainedTree(replace(comps, kind=kind), tree.chains, tree.chain_parent, tree.root_chain)
+    new = Components(kind, comps.tags, comps.left, comps.right, comps.both, comps.of_cycle)
+    return tree._replace(components=new)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +570,24 @@ class CoverPath(NamedTuple):
         return "short" if self.u == self.v else "long"
 
 
-@dataclass
 class Cover:
-    paths: list[CoverPath] = field(default_factory=list)
+    """The paths of a cover of a tagged tree; a cover built without paths
+    gets a list of its own.  Two covers are equal when their paths are."""
+
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: list[CoverPath] | None = None) -> None:
+        self.paths = [] if paths is None else paths
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Cover:
+            return NotImplemented
+        return self.paths == other.paths
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Cover(paths={self.paths!r})"
 
     @property
     def total_cost(self) -> int:

@@ -17,7 +17,6 @@ extremity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import not_, xor
@@ -113,19 +112,43 @@ TAG_A_BIT = 1
 TAG_B_BIT = 2
 
 
-@dataclass
 class RelationalDiagram:
     """The diagram's cycles as columns, indexed by cycle id; ids follow
-    the cycles' first upper edges.  All lists are read only."""
+    the cycles' first upper edges.  All lists are read only; two diagrams
+    are equal when their anchors, common-marker counts and columns are."""
 
-    anchor: str
-    g_count: int
-    owner: list[int]  # owner[e]: the id of the cycle that walks upper edge e
-    first: list[int]  # the cycle's leftmost upper edge
-    last: list[int]  # its rightmost upper edge
-    good: list[bool]  # some two upper edges are walked in opposite directions
-    runs: list[int]  # maximal single-genome runs of labeled edges along it
-    tags: list[int]  # TAG_A_BIT | TAG_B_BIT: the genomes whose runs it holds
+    def __init__(
+        self,
+        anchor: str,
+        g_count: int,
+        owner: list[int],  # owner[e]: the id of the cycle that walks upper edge e
+        first: list[int],  # the cycle's leftmost upper edge
+        last: list[int],  # its rightmost upper edge
+        good: list[bool],  # some two upper edges are walked in opposite directions
+        runs: list[int],  # maximal single-genome runs of labeled edges along it
+        tags: list[int],  # TAG_A_BIT | TAG_B_BIT: the genomes whose runs it holds
+    ) -> None:
+        self.anchor = anchor
+        self.g_count = g_count
+        self.owner = owner
+        self.first = first
+        self.last = last
+        self.good = good
+        self.runs = runs
+        self.tags = tags
+
+    def _fields(self) -> tuple:
+        return (
+            self.anchor, self.g_count, self.owner, self.first,
+            self.last, self.good, self.runs, self.tags,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RelationalDiagram:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def c(self) -> int:

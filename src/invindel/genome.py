@@ -8,7 +8,6 @@ marker names into the common set and the two exclusive sets.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import not_
 from typing import NamedTuple
@@ -201,27 +200,48 @@ def check_distinct(*chromosomes: Chromosome) -> None:
                 seen.add(name)
 
 
-@dataclass(frozen=True)
 class GenomePair:
     """Two chromosomes of one shape and the partition of their marker names,
-    derived from them; mixed shapes and repeated names raise."""
+    derived from them; mixed shapes and repeated names raise.  A pair is
+    never changed once built; equality and hashing go by ``a`` and ``b``."""
+
+    __slots__ = ("a", "b", "common", "a_only", "b_only")
 
     a: Chromosome
     b: Chromosome
-    common: frozenset[str] = field(init=False)
-    a_only: frozenset[str] = field(init=False)
-    b_only: frozenset[str] = field(init=False)
+    common: frozenset[str]
+    a_only: frozenset[str]
+    b_only: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if self.a.shape != self.b.shape:
+    def __init__(self, a: Chromosome, b: Chromosome) -> None:
+        if a.shape != b.shape:
             raise InvindelError("both chromosomes must share the same shape")
-        check_distinct(self.a, self.b)
-        na, nb = self.a.names(), self.b.names()
+        check_distinct(a, b)
+        na, nb = a.names(), b.names()
         common = na & nb
         setattr_ = object.__setattr__
+        setattr_(self, "a", a)
+        setattr_(self, "b", b)
         setattr_(self, "common", common)
         setattr_(self, "a_only", na - common)
         setattr_(self, "b_only", nb - common)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GenomePair is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return GenomePair, (self.a, self.b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GenomePair:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"GenomePair(a={self.a!r}, b={self.b!r})"
 
 
 def classify_markers(a: Chromosome, b: Chromosome) -> GenomePair:

@@ -13,25 +13,30 @@ answers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
+from typing import NamedTuple
 
-from .cli import compute_distance
+from .cli import compute_distance, distance_report
 from .components import TaggedTree, contract
 from .errors import BudgetExceeded, NotLinear
 from .genome import (
+    CIRCULAR,
     LINEAR,
     Chromosome,
     GenomePair,
     Marker,
     classify_markers,
     parse_chromosome,
+    strict_record,
 )
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+@strict_record
+class OracleBudget(NamedTuple):
+    """The largest instance each oracle searches, a strict record of its
+    four fields."""
+
     max_tree_nodes: int = 12
     max_common: int = 4
     max_exclusive: int = 2
@@ -257,6 +262,64 @@ def brute_force_linear_distance(
 def anchor_invariance_check(pair: GenomePair) -> dict[str, int]:
     """Pipeline distance for every anchor choice; all values should agree."""
     return {g: compute_distance(pair, anchor=g).distance for g in sorted(pair.common)}
+
+
+def neighbour_checks(pair: GenomePair, rng: random.Random) -> list[str]:
+    """The bounds one operation on B puts on the distance, checked on one
+    random draw of each operation; returns the bounds that failed.
+
+    An inversion moves the distance by at most one either way.  Inserting
+    a block of 1-3 fresh markers never lowers it and raises it by at most
+    one; deleting a maximal run of B-only markers never raises it and lowers
+    it by at most one.  Each holds because a sorting of one pair, extended
+    or trimmed by the operation, sorts the other.  Deleting a common marker
+    has no such bound, so it is not checked.  The checks find an
+    inconsistent distance, not one that is off by the same amount on every
+    pair."""
+    a, b = pair.a, pair.b
+    ms = list(b.markers)
+
+    def distance(markers: list[Marker]) -> int:
+        return distance_report(a, Chromosome(markers, b.shape)).distance
+
+    d = distance_report(a, b).distance
+    failed = []
+    i, j = sorted(rng.sample(range(len(ms) + 1), 2))
+    inverted = distance(ms[:i] + [m.flipped() for m in reversed(ms[i:j])] + ms[j:])
+    if abs(inverted - d) > 1:
+        failed.append(f"inverting B[{i}:{j}] moves the distance from {d} to {inverted}")
+
+    k = rng.randint(0, len(ms))
+    taken = a.names() | b.names()
+    names = (name for name in map("new{}".format, count()) if name not in taken)
+    fresh = [Marker(next(names), rng.random() < 0.5) for _ in range(rng.randint(1, 3))]
+    grown = distance(ms[:k] + fresh + ms[k:])
+    if not d <= grown <= d + 1:
+        failed.append(
+            f"inserting {len(fresh)} fresh markers at B[{k}] moves the distance "
+            f"from {d} to {grown}"
+        )
+
+    # the maximal runs of B-only markers, read from a common marker around a
+    # circular B
+    start = 0
+    if b.shape == CIRCULAR:
+        start = next((i for i, m in enumerate(ms) if m.name in pair.common), 0)
+    runs: list[list[int]] = [[]]
+    for i in (x % len(ms) for x in range(start, start + len(ms))):
+        if ms[i].name in pair.common:
+            runs.append([])
+        else:
+            runs[-1].append(i)
+    runs = [run for run in runs if run]
+    if runs:
+        drop = set(rng.choice(runs))
+        shrunk = distance([m for i, m in enumerate(ms) if i not in drop])
+        if not shrunk <= d <= shrunk + 1:
+            failed.append(
+                f"deleting B's markers {sorted(drop)} moves the distance from {d} to {shrunk}"
+            )
+    return failed
 
 
 # ---------------------------------------------------------------------------

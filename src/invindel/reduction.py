@@ -15,7 +15,6 @@ cover can be assembled and checked end to end.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .components import CLASS_TAGS, TaggedTree, reduce_by_paths
@@ -46,8 +45,11 @@ class ReductionStep(NamedTuple):
     leaf_class: str
 
 
-@dataclass
-class ResidualResult:
+@strict_record
+class ResidualResult(NamedTuple):
+    """The residual tree, the spent steps and the lifted lookup cover, a
+    strict record of its four fields."""
+
     residual: TaggedTree
     steps: list[ReductionStep]
     lookup_cover: Cover  # already lifted to input-tree node ids

@@ -16,11 +16,12 @@ audited row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .components import CLASS_TAGS, TaggedTree, reduce_by_paths
 from .errors import BudgetExceeded, NoCaseMatched, PreconditionViolated, UnknownComposition
+from .genome import strict_record
 from .treecover import Cover, CoverPath, Topology, cover_floor, lift_paths, path_cost
 
 A = frozenset({"A"})
@@ -34,8 +35,8 @@ BC = B | C
 INSTANTIATE_BUDGET = 20_000
 
 
-@dataclass(frozen=True)
-class PathSpec:
+@strict_record
+class PathSpec(NamedTuple):
     kind: str  # in | out | tcov | semi | short | cut
     c1: str | None = None
     c2: str | None = None
@@ -76,8 +77,8 @@ def CUT(c1: str, c2: str) -> PathSpec:
     return PathSpec("cut", c1, c2)
 
 
-@dataclass(frozen=True)
-class Case:
+@strict_record
+class Case(NamedTuple):
     label: str
     cost: int | None = None
     recipe: tuple[PathSpec, ...] | None = None

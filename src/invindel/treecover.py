@@ -14,8 +14,8 @@ recipes to nodes and feed the topology trace.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .components import (
     CLASS_TAGS,
@@ -28,6 +28,7 @@ from .components import (
     spanning_subtree,
 )
 from .errors import OddLeafCount, PreconditionViolated
+from .genome import strict_record
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +374,10 @@ class Topology:
         return sorted(n for n in extended if tag in self.tree.tags(n))
 
 
-@dataclass
-class TopologyReport:
-    """Snapshot of a tagged tree's topology facts, for `dist --trace topology`."""
+@strict_record
+class TopologyReport(NamedTuple):
+    """Snapshot of a tagged tree's topology facts, for `dist --trace topology`,
+    a strict record of its ten fields."""
 
     composition: tuple[int, int, int, int]
     leaf_classes: dict[str, list[int]]

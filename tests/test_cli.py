@@ -132,9 +132,11 @@ def test_cli_dist_json_roundtrip(genome_file, capsys):
 
 # Run in a fresh interpreter: modules loaded by the interpreter's own start-up
 # are not charged to the distance.  argv: a pair without bad components, a
-# pair with them, then the modules neither distance may load.
+# pair with them, then the modules neither distance may load; the second loads
+# the tau* modules and no other of them.
 COLD_START = """\
 import sys
+TAU_STAR = {"invindel.reduction", "invindel.residual", "invindel.treecover"}
 before = set(sys.modules)
 from invindel.cli import distance_report
 from invindel.genome import read_pair_text
@@ -142,7 +144,8 @@ assert distance_report(*read_pair_text("a -c b d\\nd c -b a\\n")).distance == 2
 assert distance_report(*read_pair_text(sys.argv[1])).run.tagged.is_empty
 print(sorted((set(sys.modules) - before) & set(sys.argv[3:])))
 rep = distance_report(*read_pair_text(sys.argv[2]))
-print(sorted({"invindel.reduction", "invindel.residual", "invindel.treecover"} - set(sys.modules)))
+loaded = set(sys.modules) - before
+print(sorted(TAU_STAR - loaded), sorted(loaded & set(sys.argv[3:]) - TAU_STAR))
 import json
 print(json.dumps(rep.to_dict(), sort_keys=True))
 import invindel
@@ -172,7 +175,8 @@ def test_distance_import_loads_only_the_pipeline(genome_file):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     unwanted = [
-        "argparse", "json", "statistics", "invindel.oracle", "invindel.commands", *TAU_STAR_MODULES
+        "argparse", "json", "statistics", "dataclasses", "inspect",
+        "invindel.oracle", "invindel.commands", *TAU_STAR_MODULES,
     ]
     cold = subprocess.run(
         [sys.executable, "-c", COLD_START, _no_bad_components_text(), f"{FIG_A}\n{FIG_B}\n",
@@ -182,7 +186,7 @@ def test_distance_import_loads_only_the_pipeline(genome_file):
     a, b = (parse_chromosome(line) for line in (FIG_A, FIG_B))
     report = json.dumps(distance_report(a, b).to_dict(), sort_keys=True)
     assert json.loads(report)["tau_star"] == 2
-    assert cold.stdout.splitlines() == ["[]", "[]", report, "oracle on use"]
+    assert cold.stdout.splitlines() == ["[]", "[] []", report, "oracle on use"]
 
     out = subprocess.run(
         [sys.executable, "-m", "invindel", "dist", genome_file, "--json"],
@@ -206,7 +210,9 @@ def test_dist_without_bad_components_loads_no_tau_star_module(tmp_path):
         if line.startswith("import time:")
     }
     assert "invindel.commands" in loaded
-    assert loaded.isdisjoint(["invindel.oracle", "statistics", "json", *TAU_STAR_MODULES])
+    assert loaded.isdisjoint(
+        ["invindel.oracle", "statistics", "json", "dataclasses", "inspect", *TAU_STAR_MODULES]
+    )
 
 
 def test_empty_tree_cover_is_a_cover_without_paths():
@@ -419,6 +425,7 @@ def test_cli_verify_smoke(capsys):
     assert "verify: PASS" in out
     # 12 random trees and one residual tree per table composition
     assert "leaf bound: 68/68 hold" in out
+    assert "neighbours: 1/1 hold" in out
 
 
 def test_cli_verify_counts_a_leaf_bound_above_the_optimum(monkeypatch, capsys):
@@ -426,6 +433,23 @@ def test_cli_verify_counts_a_leaf_bound_above_the_optimum(monkeypatch, capsys):
     assert main(["verify", "--trials", "12", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "leaf bound: 0/68 hold" in out and "verify: FAIL (68)" in out
+
+
+def test_cli_verify_counts_a_neighbour_violation(monkeypatch, capsys):
+    # a distance two too high on every B that holds an inserted marker
+    from invindel import oracle
+
+    exact = oracle.distance_report
+
+    def skewed(a, b):
+        rep = exact(a, b)
+        rep.distance += 2 * any(name.startswith("new") for name in b.names())
+        return rep
+
+    monkeypatch.setattr(oracle, "distance_report", skewed)
+    assert main(["verify", "--trials", "12", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "neighbours: 0/1 hold" in out and "verify: FAIL (1)" in out
 
 
 def test_cli_bench_smoke(capsys):
@@ -522,40 +546,16 @@ def test_distance_symmetries_at_size():
 
 
 def test_distance_neighbours_at_size():
-    # one operation moves the distance by at most one: an inversion of B
-    # either way, inserting a block of fresh markers into B never lowers it,
-    # and deleting a maximal run of B-only markers never raises it
+    # one operation on B moves the distance by at most one, in the direction
+    # the operation allows (oracle.neighbour_checks)
     import random
 
-    from invindel.genome import Chromosome, Marker
-    from invindel.oracle import structured_genome_pair
+    from invindel.oracle import neighbour_checks, structured_genome_pair
 
     rng = random.Random(2311)
     for n in range(60):
         pair = structured_genome_pair(rng, rng.randint(10, 60))
-        a, ms = pair.a, list(pair.b.markers)
-        d = distance_report(a, pair.b).distance
-
-        i, j = sorted(rng.sample(range(len(ms) + 1), 2))
-        inverted = ms[:i] + [m.flipped() for m in reversed(ms[i:j])] + ms[j:]
-        assert abs(distance_report(a, Chromosome(inverted)).distance - d) <= 1, n
-
-        k = rng.randint(0, len(ms))
-        fresh = [Marker(f"new{f}", rng.random() < 0.5) for f in range(rng.randint(1, 3))]
-        grown = distance_report(a, Chromosome(ms[:k] + fresh + ms[k:])).distance
-        assert d <= grown <= d + 1, n
-
-        # the maximal runs of B-only markers, read circularly from a common one
-        start = next(i for i, m in enumerate(ms) if m.name in pair.common)
-        runs = [[]]
-        for i in (x % len(ms) for x in range(start, start + len(ms))):
-            if ms[i].name in pair.common:
-                runs.append([])
-            else:
-                runs[-1].append(i)
-        drop = set(rng.choice([run for run in runs if run]))
-        shrunk = distance_report(a, Chromosome([m for i, m in enumerate(ms) if i not in drop]))
-        assert shrunk.distance <= d <= shrunk.distance + 1, n
+        assert neighbour_checks(pair, rng) == [], n
 
 
 def _tau_star_calls(monkeypatch) -> list:
