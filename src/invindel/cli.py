@@ -26,6 +26,7 @@ class PipelineRun(NamedTuple):
     residual: ResidualResult | None
 
 
+@strict_record
 class DistanceReport:
     """The distance g - c + Σλ + τ* with its terms and τ*'s witness cover.
 
@@ -33,12 +34,12 @@ class DistanceReport:
     the cover's component ids describe the chosen capped circular pair
     (``capping``), whose cap counts as one more common marker.
 
-    ``__slots__`` lists the fields in order; every field but ``run``, the
-    pipeline's artifacts, makes up ``to_dict``, equality and the repr.  A
-    report built without ``cover``, ``reduction_steps`` or ``case_trace``
+    ``__match_args__`` lists, in order, every field but ``run``, the
+    pipeline's artifacts: they make up ``to_dict``, equality and the repr.
+    A report built without ``cover``, ``reduction_steps`` or ``case_trace``
     gets an empty list of its own."""
 
-    __slots__ = (
+    __match_args__ = (
         "distance",
         "g_count",
         "cycles",
@@ -50,8 +51,8 @@ class DistanceReport:
         "reduction_steps",
         "case_trace",
         "capping",
-        "run",
     )
+    __slots__ = (*__match_args__, "run")
 
     def __init__(
         self,
@@ -83,21 +84,11 @@ class DistanceReport:
 
     def to_dict(self) -> dict:
         """Every field but ``run``, in field order."""
-        return {name: getattr(self, name) for name in _REPORT_FIELDS}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DistanceReport:
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    __hash__ = None  # type: ignore[assignment]
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
         return f"DistanceReport({fields})"
-
-
-_REPORT_FIELDS = tuple(name for name in DistanceReport.__slots__ if name != "run")
 
 
 def tau_star(tree: TaggedTree) -> tuple[int, Cover, ResidualResult | None, list[str]]:

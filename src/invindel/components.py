@@ -53,12 +53,15 @@ class Component(NamedTuple):
     both_run_cycles: int
 
 
+@strict_record
 class Components:
     """The components of a diagram as columns, indexed by component id; ids
     follow the components' leftmost upper edges.  All lists are read only;
     two column sets are equal when their columns are.  ``len()`` counts the
     components; ``comps[i]`` and iteration give ``Component`` rows, built on
     first use, for traces and tests."""
+
+    __match_args__ = ("kind", "tags", "left", "right", "both", "of_cycle")
 
     def __init__(
         self,
@@ -75,16 +78,6 @@ class Components:
         self.right = right
         self.both = both
         self.of_cycle = of_cycle
-
-    def _fields(self) -> tuple:
-        return self.kind, self.tags, self.left, self.right, self.both, self.of_cycle
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Components:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -570,21 +563,16 @@ class CoverPath(NamedTuple):
         return "short" if self.u == self.v else "long"
 
 
+@strict_record
 class Cover:
     """The paths of a cover of a tagged tree; a cover built without paths
     gets a list of its own.  Two covers are equal when their paths are."""
 
     __slots__ = ("paths",)
+    __match_args__ = ("paths",)
 
     def __init__(self, paths: list[CoverPath] | None = None) -> None:
         self.paths = [] if paths is None else paths
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Cover:
-            return NotImplemented
-        return self.paths == other.paths
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"Cover(paths={self.paths!r})"

@@ -23,7 +23,7 @@ from operator import not_, xor
 from typing import NamedTuple
 
 from .errors import AnchorNotCommon, OddRunCountAboveOne
-from .genome import Chromosome, GenomePair
+from .genome import Chromosome, GenomePair, strict_record
 
 
 class Cycle(NamedTuple):
@@ -112,10 +112,13 @@ TAG_A_BIT = 1
 TAG_B_BIT = 2
 
 
+@strict_record
 class RelationalDiagram:
     """The diagram's cycles as columns, indexed by cycle id; ids follow
     the cycles' first upper edges.  All lists are read only; two diagrams
     are equal when their anchors, common-marker counts and columns are."""
+
+    __match_args__ = ("anchor", "g_count", "owner", "first", "last", "good", "runs", "tags")
 
     def __init__(
         self,
@@ -136,19 +139,6 @@ class RelationalDiagram:
         self.good = good
         self.runs = runs
         self.tags = tags
-
-    def _fields(self) -> tuple:
-        return (
-            self.anchor, self.g_count, self.owner, self.first,
-            self.last, self.good, self.runs, self.tags,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RelationalDiagram:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # type: ignore[assignment]
 
     @property
     def c(self) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import repeat
-from operator import not_
+from operator import attrgetter, not_
 from typing import NamedTuple
 
 from .errors import (
@@ -28,16 +28,36 @@ SIGN_PREFIX = "-"
 
 
 def strict_record(cls):
-    """Make a ``NamedTuple`` record equal only to a record of its own class,
-    never to a plain tuple, while it hashes like the tuple of its fields."""
+    """The one equality rule of the package's records: a record equals only
+    a record of its own class whose compared fields are equal, never a plain
+    tuple.
+
+    The compared fields are those ``__match_args__`` names: a ``NamedTuple``
+    sets it to all its fields, a hand-written class states it.  A record
+    that cannot be changed (a ``NamedTuple``, or a class whose
+    ``__setattr__`` raises) hashes by those fields; any other record does
+    not hash."""
+    if issubclass(cls, tuple):
+        same, hash_ = tuple.__eq__, tuple.__hash__
+    else:
+        fields = attrgetter(*cls.__match_args__)
+
+        def same(self, other) -> bool:
+            return fields(self) == fields(other)
+
+        def hash_(self) -> int:
+            return hash(fields(self))
+
+        if cls.__setattr__ is object.__setattr__:
+            hash_ = None
 
     def __eq__(self, other: object) -> bool:
-        return other.__class__ is cls and tuple.__eq__(self, other)
+        return other.__class__ is cls and same(self, other)
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
-    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, hash_
     return cls
 
 
@@ -60,6 +80,7 @@ class Marker(NamedTuple):
 _new_marker = tuple.__new__
 
 
+@strict_record
 class Chromosome:
     """A chromosome stored as columns.
 
@@ -71,6 +92,7 @@ class Chromosome:
     """
 
     __slots__ = ("order", "forward", "shape", "_names")
+    __match_args__ = ("order", "forward", "shape")
 
     order: tuple[str, ...]
     forward: tuple[bool, ...]
@@ -94,18 +116,6 @@ class Chromosome:
 
     def __reduce__(self):
         return _columns, (self.order, self.forward, self.shape, self._names)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Chromosome:
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.forward == other.forward
-            and self.shape == other.shape
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.forward, self.shape))
 
     def __repr__(self) -> str:
         return f"Chromosome(markers={self.markers!r}, shape={self.shape!r})"
@@ -200,12 +210,14 @@ def check_distinct(*chromosomes: Chromosome) -> None:
                 seen.add(name)
 
 
+@strict_record
 class GenomePair:
     """Two chromosomes of one shape and the partition of their marker names,
     derived from them; mixed shapes and repeated names raise.  A pair is
     never changed once built; equality and hashing go by ``a`` and ``b``."""
 
     __slots__ = ("a", "b", "common", "a_only", "b_only")
+    __match_args__ = ("a", "b")
 
     a: Chromosome
     b: Chromosome
@@ -231,14 +243,6 @@ class GenomePair:
 
     def __reduce__(self):
         return GenomePair, (self.a, self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GenomePair:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __repr__(self) -> str:
         return f"GenomePair(a={self.a!r}, b={self.b!r})"

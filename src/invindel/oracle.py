@@ -225,10 +225,11 @@ def _target_distances(
 
 
 def _search_distance(pair: GenomePair, budget: OracleBudget, circular: bool) -> int:
-    if len(pair.common) > budget.max_common:
-        raise BudgetExceeded(f"{len(pair.common)} common markers")
-    if len(pair.a_only) + len(pair.b_only) > budget.max_exclusive:
-        raise BudgetExceeded("too many exclusive markers")
+    if (
+        len(pair.common) > budget.max_common
+        or len(pair.a_only) + len(pair.b_only) > budget.max_exclusive
+    ):
+        raise BudgetExceeded("instance above budget")
     canonical = canonical_tokens if circular else _linear_canonical
     table = _target_distances(
         canonical(pair.b.tokens()),

@@ -13,7 +13,6 @@ recipes to nodes and feed the topology trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -144,8 +143,8 @@ def cover_floor(tree: TaggedTree) -> int:
     Good leaves (absent after contraction) are left out, so the bound holds
     for any tree.
     """
-    counts = Counter(tree.tags(u) for u in tree.leaves() if tree.is_bad(u))
-    la, lb, lc, lab = (counts[tags] for tags in CLASS_TAGS.values())
+    is_bad = tree.is_bad
+    la, lb, lc, lab = (sum(map(is_bad, leaves)) for leaves in tree.leaf_classes().values())
     return lc + (la + lb + lab + 1) // 2 + (la % 2 == lb % 2 == 1 and lab == 0)
 
 
@@ -193,7 +192,7 @@ def tau_all_clean(tree: TaggedTree) -> Cover:
         return Cover([path_cost(tree, leaves[0], leaves[0])])
     if len(leaves) % 2 == 0:
         return _traversal_cover(tree, tree)
-    short = [u for u in leaves if not branch_is_long(tree, u)]
+    short = solo_candidates(tree)
     if short:
         return _odd_cover(tree, short[0], short[0])
     return _odd_cover(tree, leaves[0], leaves[1])
@@ -318,8 +317,7 @@ class Topology:
         return [n for n in link if self.tree.is_bad(n)]
 
     def separated(self, x, y) -> bool:
-        link = self.link_nodes(x, y)
-        return link is not None and any(self.tree.is_bad(n) for n in link)
+        return bool(self.link_bads(x, y))
 
     def isolated(self, x) -> bool:
         comp = self.complement_classes(x)

@@ -283,6 +283,44 @@ def test_cli_trace_runs_pipeline_once(genome_file, capsys, monkeypatch):
     assert calls == {"tagged_tree_for_pair": 1, "tau_star": 1}
 
 
+# Pair 1405 of the small benchmark pool 0: its tau* reduces class A from
+# three leaves to one and class B by a balanced in-traversal, then looks the
+# residual up.
+RESIDUAL_PAIR = (
+    "g0 g2 x0 g1 g3 g5 g4 g6 x1 g17 x2 g19 g18 g20 g21 g22 g23 g7 g9 g8 g10 g12 g11 g13"
+    " g15 g14 g16 g24 x3 g26 g25 g27 g28 g29 x4 g30\n"
+    "g0 g1 g2 g3 y0 g4 g5 g6 g7 y1 g8 g9 g10 g11 g12 y2 g13 g14 y3 g15 y4 g16 g17 g18"
+    " g19 g20 g21 g22 y5 g23 g24 g25 g26 g27 g28 y6 g29 g30\n"
+)
+
+
+def test_cli_trace_reduction_prints_each_step(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(RESIDUAL_PAIR)
+    assert main(["dist", str(path), "--trace", "reduction"]) == 0
+    out = capsys.readouterr().out
+    steps = distance_report(*read_pair_text(RESIDUAL_PAIR)).run.residual.steps
+    lines = [line for line in out.splitlines() if ", running " in line]
+    assert len(lines) == len(steps) == 2
+    running = 0
+    for line, step in zip(lines, steps):
+        running += step.cost
+        assert line == (
+            f"  {step.kind} on {step.leaf_class}: path {step.path}, "
+            f"cost {step.cost}, running {running}"
+        )
+    assert "  residual lookup: ['(2, 1, 0, 0) S']" in out
+
+
+def test_cli_trace_tree_of_a_pair_without_bad_components(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("a b c d\na -c -b d\n")
+    assert main(["dist", str(path), "--trace", "tree"]) == 0
+    out = capsys.readouterr().out
+    assert "== tagged tree ==\n(empty tree)\n" in out
+    assert "extra cover: 0" in out
+
+
 def test_cli_linear(tmp_path, capsys):
     from invindel.genome import LINEAR, cap_linear_pair, classify_markers
     from invindel.oracle import OracleBudget, brute_force_distance

@@ -302,6 +302,22 @@ def test_validate_rejects_a_bad_or_tagged_node_without_src():
     tau_star(tree)
 
 
+def test_validate_rejects_a_good_node_contraction_removes():
+    # a clean good node of degree 2 merges into its neighbours, and two
+    # adjacent good nodes merge into one
+    for specs, message in (
+        (("b", "g", "b"), "clean good node 1 of degree 2 survived"),
+        (("b", "gA", "gB", "b"), "adjacent good nodes at 1"),
+    ):
+        tree = TaggedTree.from_spec(
+            dict(enumerate(specs)), [(u, u + 1) for u in range(len(specs) - 1)]
+        )
+        with pytest.raises(InvindelError, match=f"^{message}$"):
+            tree.validate()
+        with pytest.raises(InvindelError, match=f"^{message}$"):
+            tau_star(tree)
+
+
 def test_validate_rejects_a_malformed_adjacency():
     bad = TreeNode(True, frozenset(), frozenset({0}))
     cases = [

@@ -21,7 +21,7 @@ from invindel.genome import (
     parse_chromosome,
     read_pair_text,
 )
-from invindel.oracle import canonical_tokens
+from invindel.oracle import brute_force_linear_distance, canonical_tokens
 
 
 def test_parse_forward_markers():
@@ -116,6 +116,17 @@ def test_capping_produces_two_circular_pairs():
         assert len(cp.a) == 3 and len(cp.b) == 3
         (cap,) = cp.common - pair.common
         assert cap.startswith("__cap")
+
+
+def test_capping_skips_cap_names_the_pair_holds():
+    from invindel.cli import distance_report
+
+    a = parse_chromosome("__cap a -__cap1 b x", LINEAR)
+    b = parse_chromosome("a __cap1 b __cap", LINEAR)
+    pair = GenomePair(a, b)
+    for cp in cap_linear_pair(pair):
+        assert cp.common - pair.common == {"__cap2"}
+    assert distance_report(a, b).distance == brute_force_linear_distance(pair)
 
 
 def test_capping_requires_linear():
