@@ -285,6 +285,25 @@ def _cmd_verify(args) -> int:
     print(f"neighbours: {ok}/{neighbour_trials} hold")
     failures += neighbour_trials - ok
 
+    # trees of 13-40 nodes, each answer certified by the leaf bound or by
+    # the exhaustive search at 40 nodes
+    at_floor = exhaustive = 0
+    sweep_trials = 5 * trials
+    wide = OracleBudget(max_tree_nodes=40)
+    for _ in range(sweep_trials):
+        while len(tree := random_tagged_tree(rng, 40, 16)) < 13:
+            pass
+        got = tau_star(tree)[0]
+        if got == cover_floor(tree):
+            at_floor += 1
+        elif got == brute_force_tau(tree, wide):
+            exhaustive += 1
+    print(
+        f"certified trees: {at_floor + exhaustive}/{sweep_trials} ({at_floor} at the leaf "
+        f"bound, {exhaustive} by exhaustive search)"
+    )
+    failures += sweep_trials - at_floor - exhaustive
+
     print("verify:", "PASS" if failures == 0 else f"FAIL ({failures})")
     return 0 if failures == 0 else 1
 

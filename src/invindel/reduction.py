@@ -2,14 +2,15 @@
 
 Each leaf class shrinks, in the order A, B, AB, C, to the most leaves the
 residual tables take (`kept_count`), through balanced in-traversals and,
-when one leaf is to stay, an essential-leaf choice among the last three;
-the clean class is reduced while testing which clean short-branch leaf,
-if any, should survive as the solo leaf.  The test stops at the first
-hypothesis whose total reaches the input tree's leaf bound
-(`treecover.cover_floor`), which no cover can beat; the residual lookup
-stops its case walk at the residual tree's bound the same way.  Every spent
-in-traversal is recorded, re-expressed in the input tree, so the final
-cover can be assembled and checked end to end.
+when one leaf is to stay, a three-to-one step among the last three.  One
+search runs over the choices this leaves open: which clean short-branch
+leaf, if any, survives as the solo leaf, and which leaf each three-to-one
+step keeps, at most three branches per step.  It stops at the first total
+that reaches the input tree's leaf bound (`treecover.cover_floor`), which
+no cover can beat; the residual lookup stops its case walk at the residual
+tree's bound the same way.  Every spent in-traversal is recorded,
+re-expressed in the input tree, so the final cover can be assembled and
+checked end to end.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import copy
 from typing import NamedTuple
 
 from .components import CLASS_TAGS, TaggedTree, reduce_by_paths
-from .errors import BudgetExceeded, DegenerateTree, PreconditionViolated, UnknownComposition
+from .errors import BudgetExceeded, DegenerateTree, UnknownComposition
 from .genome import strict_record
 from .residual import optimal_cover_of_residual, table_takes
 from .treecover import (
@@ -27,8 +28,6 @@ from .treecover import (
     closed_form,
     cover_floor,
     cover_tree_with_traversals,
-    induced_subtree,
-    leaf_branch,
     lift_paths,
     path_cost,
     solo_candidates,
@@ -91,54 +90,6 @@ def _balanced_pair_plan(
     return pairs
 
 
-def _fragment_leaf_tags(
-    tree: TaggedTree, sub: frozenset[int], branch: list[int]
-) -> frozenset[str]:
-    """Union of tag sets over tree leaves in the outside fragments attached
-    to a leaf branch of a class subtree."""
-    tags: set[str] = set()
-    seen: set[int] = set()
-    for n in branch:
-        for v in tree.adj[n]:
-            if v in sub or v in seen:
-                continue
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                if x in seen or x in sub:
-                    continue
-                seen.add(x)
-                if tree.degree(x) <= 1:
-                    tags |= tree.tags(x)
-                stack.extend(y for y in tree.adj[x] if y not in seen and y not in sub)
-    return frozenset(tags)
-
-
-def essential_leaf(tree: TaggedTree, leaves: list[int]) -> int:
-    """The leaf to keep when shrinking a three-leaf class to one.
-
-    First choice: a leaf whose branch inside the class subtree is also a
-    leaf branch of the whole tree.  Second: a leaf from a pair of branches
-    whose outside fragments see intersecting leaf-tag sets.  Otherwise any
-    leaf works.
-    """
-    L = sorted(leaves)
-    if len(L) != 3:
-        raise PreconditionViolated(f"essential leaf needs 3 leaves, got {len(L)}")
-    sub = induced_subtree(tree, L)
-    within = tree.restricted(sub)
-    branches = {u: leaf_branch(within, u) for u in L}
-    for u in L:
-        if branches[u] == leaf_branch(tree, u):
-            return u
-    supersets = {u: _fragment_leaf_tags(tree, sub, branches[u]) for u in L}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if supersets[L[i]] & supersets[L[j]]:
-                return min(L[i], L[j])
-    return L[0]
-
-
 # ---------------------------------------------------------------------------
 # The full reduction pipeline
 
@@ -193,11 +144,14 @@ def kept_count(composition: tuple[int, int, int, int], cls: str) -> int:
     return _fewest(n)
 
 
-def _shrink(r: _Reducer, cls: str, solo: int | None = None) -> None:
+def _shrink(r: _Reducer, cls: str, solo: int | None = None):
     """Shrink one leaf class to its kept count: balanced in-traversals down
     to that count (to three when one leaf is to stay), then the three-to-one
-    step, which keeps ``solo`` when given and else the essential leaf,
-    spending one traversal on the other two."""
+    step, which spends one traversal on two of the three leaves.
+
+    Yields one branch per leaf the three-to-one step may keep: ``solo``
+    when given, else each leaf of the class in id order.  With no such
+    step due it yields ``r`` itself."""
     leaves = r.work.leaf_classes()[cls]
     n = len(leaves)
     keep = kept_count(r.work.composition(), cls)
@@ -206,11 +160,15 @@ def _shrink(r: _Reducer, cls: str, solo: int | None = None) -> None:
         pairs = _balanced_pair_plan(r.work, leaves, target, solo)
         kind = "solo_safe_clean" if cls == "C" else "balanced_in_traversal"
         r.apply_pairs(pairs, kind, cls)
-    if keep == 1 and n > 1:
-        leaves = r.work.leaf_classes()[cls]
-        kept = essential_leaf(r.work, leaves) if solo is None else solo
+    if keep != 1 or n == 1:
+        yield r
+        return
+    leaves = sorted(r.work.leaf_classes()[cls])
+    for kept in leaves if solo is None else [solo]:
+        branch = r.fork()
         u, v, *_ = (x for x in leaves if x != kept)
-        r.apply_pairs([(u, v)], "three_to_one", cls)
+        branch.apply_pairs([(u, v)], "three_to_one", cls)
+        yield branch
 
 
 def _result_for(branch: _Reducer, depth: int) -> ResidualResult:
@@ -231,47 +189,57 @@ def _solo_hypotheses(tree: TaggedTree):
     yield from solo_candidates(tree)
 
 
-def _clean_phase(r: _Reducer, depth: int) -> ResidualResult:
-    """Reduce the clean class under each solo-leaf hypothesis in turn and
-    keep the first whose total certified cost is cheapest.
-
-    Every total is the cost of a cover of the input tree, so none is below
-    the reducer's leaf bound: the search stops at the first hypothesis that
-    reaches it, the one a full scan would keep too.  When no hypothesis
-    reaches it, every one is tried.
-    """
-    best: ResidualResult | None = None
-    for s in _solo_hypotheses(r.work):
-        branch = r.fork()
-        _shrink(branch, "C", s)
-        result = _result_for(branch, depth)
-        if best is None or result.total_cost < best.total_cost:
-            best = result
-            if best.total_cost <= r.floor:
-                break
-    return best
+def _branches(r: _Reducer, i: int = 0):
+    """Every branch with the classes from ``_SHRINK_ORDER[i]`` on shrunk,
+    depth first: under every solo-leaf hypothesis for the clean class and
+    through every branch `_shrink` yields.  Each is made only when asked
+    for."""
+    if i == len(_SHRINK_ORDER):
+        yield r
+        return
+    cls = _SHRINK_ORDER[i]
+    if cls == "C":
+        shrunk = (b for s in _solo_hypotheses(r.work) for b in _shrink(r.fork(), cls, s))
+    else:
+        shrunk = _shrink(r, cls)
+    for branch in shrunk:
+        yield from _branches(branch, i + 1)
 
 
 def _run_pipeline(r: _Reducer, depth: int = 8) -> ResidualResult:
+    """Look up every branch in turn and keep the first result whose total
+    certified cost is cheapest.
+
+    Every total is the cost of a cover of the input tree, so none is below
+    the reducer's leaf bound: the search stops at the first result that
+    reaches it, the one a full scan would keep too.  When none reaches it,
+    every branch is tried.
+    """
     if depth <= 0:
         raise BudgetExceeded("reduction pipeline failed to converge")
-    for cls in _SHRINK_ORDER[:-1]:
-        _shrink(r, cls)
-    return _clean_phase(r, depth)
+    best: ResidualResult | None = None
+    for branch in _branches(r):
+        result = _result_for(branch, depth)
+        cost = result.total_cost
+        if best is None or cost < best_cost:
+            best, best_cost = result, cost
+            if cost <= r.floor:
+                break
+    return best
 
 
 def compute_residual(tree: TaggedTree) -> ResidualResult:
     """Reduce a mixed tagged tree to a residual tree and look up its cover.
 
-    Order: shrink the A class, then B, then AB, each to the leaves the
-    residual tables take (`kept_count`), then shrink the clean class under
-    the solo search, which stops at the input tree's leaf bound.  When a
-    three-to-one reduction exposes a new leaf that leaves the residual
-    composition outside the tables, the phases run again on the smaller
-    tree under the same bound.  The returned cover and steps are expressed
-    in the input tree and certify the total cost.  A tree whose leaves all
-    share a tag or are all clean raises DegenerateTree, naming its closed
-    form.
+    Order: shrink the A class, then B, then AB, then C, each to the leaves
+    the residual tables take (`kept_count`), in one search over the solo
+    leaf and the leaf each three-to-one step keeps (see the module
+    docstring).  When a three-to-one step exposes a new leaf that leaves
+    the residual composition outside the tables, the search runs again on
+    the smaller tree under the same bound.  The returned cover and steps
+    are expressed in the input tree and certify the total cost.  A tree
+    whose leaves all share a tag or are all clean raises DegenerateTree,
+    naming its closed form.
     """
     if tree.is_empty or not tree.bad_nodes():
         raise DegenerateTree("nothing to reduce")

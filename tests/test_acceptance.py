@@ -316,3 +316,30 @@ def test_criterion_8_structured_scaling():
         + f"; ratios {[f'{r:.2f}' for r in ratios]}; tau* {tau_medians[60] * 1000:.1f}ms"
         + f" -> {tau_medians[240] * 1000:.1f}ms from 60 to 240 blocks, ratio {tau_ratio:.2f})",
     )
+
+
+def test_criterion_9_certified_sweep():
+    # trees of 13-40 nodes, each answer certified by the leaf bound or by
+    # the exhaustive search at 40 nodes; a three-to-one step that kept its
+    # leaf by a fixed rule missed the optimum on draws 3486 and 9123
+    rng = random.Random(1)
+    budget = OracleBudget(max_tree_nodes=40)
+    t0 = time.time()
+    trials = 12_000
+    at_floor = exhaustive = 0
+    for _ in range(trials):
+        while len(tree := random_tagged_tree(rng, 40, 16)) < 13:
+            pass
+        got = tau_star(tree)[0]
+        if got == cover_floor(tree):
+            at_floor += 1
+        elif got == brute_force_tau(tree, budget):
+            exhaustive += 1
+    wrong = trials - at_floor - exhaustive
+    elapsed = time.time() - t0
+    _report(
+        "9 certified sweep",
+        wrong == 0 and elapsed < 120,
+        f"({trials} trees of 13-40 nodes: {at_floor} at the leaf bound, {exhaustive} "
+        f"by exhaustive search, {wrong} wrong, {elapsed:.1f}s)",
+    )

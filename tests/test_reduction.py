@@ -11,7 +11,7 @@ import trees as fig
 from invindel import reduction, residual
 from invindel.cli import tau_star
 from invindel.components import reduce_by_paths
-from invindel.errors import BudgetExceeded, DegenerateTree, PreconditionViolated
+from invindel.errors import BudgetExceeded, DegenerateTree
 from invindel.oracle import OracleBudget, brute_force_tau, random_tagged_tree
 from invindel.reduction import (
     ReductionStep,
@@ -19,7 +19,6 @@ from invindel.reduction import (
     _Reducer,
     _run_pipeline,
     compute_residual,
-    essential_leaf,
     kept_count,
 )
 from invindel.residual import optimal_cover_of_residual
@@ -32,13 +31,6 @@ def balanced_reduce(tree, leaf_class, keep, solo=None):
     leaves = tree.leaf_classes()[leaf_class]
     reduced = reduce_by_paths(tree, _balanced_pair_plan(tree, leaves, keep, solo))
     return reduced, [u for u in reduced.leaves() if u in leaves]
-
-
-def three_to_one(tree, leaves):
-    """Keep the essential leaf; spend the in-traversal between the others."""
-    kept = essential_leaf(tree, leaves)
-    others = [u for u in sorted(leaves) if u != kept]
-    return reduce_by_paths(tree, [(others[0], others[1])])
 
 
 def test_reduction_step_is_a_frozen_record():
@@ -136,33 +128,31 @@ def test_balanced_reduction_respects_solo():
     assert 2 in remaining and len(remaining) == 2
 
 
-def test_essential_leaf_destroy_solo():
+def _three_to_one_splits(tree):
+    """The reduction reaches the optimum, and tau splits additively over
+    its one three-to-one step: spent alone on the input tree, that step
+    costs nothing beyond the optimum.  Returns the step."""
     wide = OracleBudget(max_tree_nodes=20)
-    # keeping any starred leaf keeps the reduction safe; the branch that is
-    # also a whole-tree branch never is one here, so the rule falls through
-    # to the intersecting-fragments rule
-    tree = fig.DESTROY_SOLO_I
-    leaves = [5, 9, 13]
-    kept = essential_leaf(tree, leaves)
-    assert kept in (5, 9)
-    reduced = three_to_one(tree, leaves)
-    assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
+    res = compute_residual(tree)
+    optimum = brute_force_tau(tree, wide)
+    assert res.total_cost == optimum
+    (step,) = [s for s in res.steps if s.kind == "three_to_one"]
+    assert optimum == step.cost + brute_force_tau(reduce_by_paths(tree, [step.path]), wide)
+    return step
 
-    tree = fig.DESTROY_SOLO_II
-    kept = essential_leaf(tree, leaves)
-    assert kept in (5, 9)
-    reduced = three_to_one(tree, leaves)
-    assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
+
+def test_essential_leaf_destroy_solo():
+    # each of the three A leaves 5, 9 and 13 sits at the end of a long
+    # branch: the three-to-one step keeps one and spends a traversal on
+    # the other two
+    for tree in (fig.DESTROY_SOLO_I, fig.DESTROY_SOLO_II):
+        step = _three_to_one_splits(tree)
+        assert step.leaf_class == "A" and set(step.path) < {5, 9, 13}
 
 
 def test_essential_leaf_intersecting_fragments():
-    wide = OracleBudget(max_tree_nodes=20)
-    tree = fig.RED3TO1_III
-    leaves = [2, 10, 13]
-    kept = essential_leaf(tree, leaves)
-    assert kept in (10, 13)
-    reduced = three_to_one(tree, leaves)
-    assert brute_force_tau(tree, wide) == 1 + brute_force_tau(reduced, wide)
+    step = _three_to_one_splits(fig.RED3TO1_III)
+    assert step.leaf_class == "A" and set(step.path) < {2, 10, 13}
 
 
 def test_essential_leaf_isolated_star():
@@ -170,13 +160,19 @@ def test_essential_leaf_isolated_star():
         {0: "b", 1: "bA", 2: "bA", 3: "bA", 4: "b", 5: "bB"},
         [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)],
     )
-    reduced = three_to_one(star, [1, 2, 3])
-    assert brute_force_tau(star) == 1 + brute_force_tau(reduced)
+    step = _three_to_one_splits(star)
+    assert step.leaf_class == "A" and set(step.path) < {1, 2, 3}
 
 
-def test_essential_leaf_requires_three():
-    with pytest.raises(PreconditionViolated):
-        essential_leaf(fig.SOLO_I, [2, 4])
+@pytest.mark.parametrize(
+    "tree, optimum", [pytest.param(t, o, id=n) for n, t, o in fig.KEPT_LEAF_TREES]
+)
+def test_three_to_one_tries_each_kept_leaf(tree, optimum):
+    # keeping one leaf of three by a fixed rule missed the optimum by one
+    # on each of these trees
+    got = tau_star(tree)[0]
+    assert got == brute_force_tau(tree, OracleBudget(max_tree_nodes=40)) == cover_floor(tree)
+    assert got == optimum
 
 
 def _kept_clean(res, leaf) -> bool:
@@ -431,8 +427,9 @@ def test_leaf_bound_exit_matches_full_scan(monkeypatch):
 
 
 def _count_hypotheses(monkeypatch) -> list:
-    """The branches `_result_for` is called on from now on, one per
-    solo-leaf hypothesis evaluated (or re-run after a three-to-one)."""
+    """The branches `_result_for` is called on from now on, one per branch
+    the search completes: per solo-leaf hypothesis and per leaf a
+    three-to-one step keeps, in the first run and in every re-run."""
     calls = []
     inner = reduction._result_for
 
@@ -486,7 +483,14 @@ def test_off_table_composition_runs_the_pipeline_again(monkeypatch):
 
     monkeypatch.setattr(reduction, "_run_pipeline", counting)
     res = compute_residual(tree)
-    assert depths == [8, 7]
-    assert res.steps == [ReductionStep("three_to_one", (1, 7), 2, "C")]
-    assert res.case_trace == ["(0, 0, 1, 2) W"]
+    # keeping clean leaf 1, the first tried, exposes a third AB leaf, off
+    # the tables, and the AB class shrinks in a second run; keeping 5 or 7
+    # needs none, but costs no less.  Leaf 1 is a solo candidate too, and
+    # its hypothesis, which spends no balanced traversal, repeats that run
+    assert depths == [8, 7, 7]
+    assert res.steps == [
+        ReductionStep("three_to_one", (5, 7), 2, "C"),
+        ReductionStep("three_to_one", (9, 11), 1, "AB"),
+    ]
+    assert res.case_trace == ["(0, 0, 1, 2) S"]
     assert tau_star(tree)[0] == res.total_cost == brute_force_tau(tree) == 5
